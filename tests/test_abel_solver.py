@@ -3,22 +3,28 @@ displacement scans, and the bounds that keep the operator route honest."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from abelcenter import (
     BlowUp,
     DenominatorTooSmall,
+    HomogPoly,
     MaxStepsExceeded,
     NoConvergence,
     NotContractive,
+    PlanarSystem,
     ScanClassification,
     SolverConfig,
     Trajectory,
     ValidationError,
+    abel_from_planar,
+    cos2pit_problem,
     default_rho_grid,
     displacement_scan,
     evenness_defect,
@@ -32,6 +38,7 @@ from abelcenter import (
     rho_admissible_bound,
     trajectory_to_csv,
 )
+from abelcenter._ivp import MaxNormDOP853
 from conftest import make_zero_radial
 
 
@@ -123,6 +130,105 @@ def test_return_map_identity_for_even_antiderivative(t_problem, config):
 
 def test_return_map_grows_for_focus(focus_problem, config):
     assert return_map(focus_problem, 0.01, config) > 0.01
+
+
+def _eps_center(rhos, config):
+    return config.abs_tol * 1e3 + config.rel_tol * 1e2 * np.asarray(rhos)
+
+
+def test_return_map_steps_resolve_high_harmonics(config):
+    # P = 3x^3y^3, Q = -2x^4y^2 is a parity center; without a step cap one
+    # DOP853 step strode past an oscillation of f and gave |d| = 2.9e-9
+    problem = abel_from_planar(
+        PlanarSystem(n=6, P=HomogPoly.monomial(6, 3, 3), Q=HomogPoly.monomial(6, 2, -2))
+    )
+    rhos = default_rho_grid(problem, config)
+    ds = np.array([return_map(problem, r, config) - r for r in rhos])
+    assert np.all(np.abs(ds) < _eps_center(rhos, config))
+
+
+# ----------------------------------------------------------------------
+# one vector solve per scan
+
+
+def test_max_norm_error_estimate_matches_scipy_for_one_component():
+    # MaxNormDOP853 overrides a private scipy method; for a scalar state it
+    # must reproduce scipy's own norm
+    rng = np.random.default_rng(7)
+    ours = MaxNormDOP853(lambda t, y: -y, 0.0, [1.0], 1.0)
+    theirs = DOP853(lambda t, y: -y, 0.0, [1.0], 1.0)
+    for _ in range(200):
+        K = rng.normal(size=(DOP853.n_stages + 1, 1)) * 10.0 ** rng.uniform(-8, 2)
+        h = 10.0 ** rng.uniform(-4, 0)
+        scale = 10.0 ** rng.uniform(-12, -8, size=1)
+        expected = theirs._estimate_error_norm(K, h, scale)
+        assert ours._estimate_error_norm(K, h, scale) == pytest.approx(expected, rel=1e-15)
+    assert ours._estimate_error_norm(np.zeros((DOP853.n_stages + 1, 1)), 0.1, np.ones(1)) == 0.0
+
+
+def test_max_norm_error_estimate_is_worst_component():
+    ours = MaxNormDOP853(lambda t, y: -y, 0.0, [1.0, 1.0], 1.0)
+    single = MaxNormDOP853(lambda t, y: -y, 0.0, [1.0], 1.0)
+    rng = np.random.default_rng(8)
+    K = rng.normal(size=(DOP853.n_stages + 1, 2))
+    K[:, 1] *= 1e-6
+    scale = np.full(2, 1e-10)
+    worst = single._estimate_error_norm(K[:, :1], 0.1, scale[:1])
+    assert ours._estimate_error_norm(K, 0.1, scale) == pytest.approx(worst, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["focus_problem", "cubic_problem", "cos2pit_even_problem"])
+def test_scan_returns_match_single_return_maps(name, config, request):
+    problem = request.getfixturevalue(name)
+    rhos = default_rho_grid(problem, config)
+    report = displacement_scan(problem, rhos, config)
+    singles = np.array([return_map(problem, r, config) for r in rhos])
+    assert np.all(np.abs(report.returns - singles) < _eps_center(rhos, config))
+
+
+def test_scan_warns_once_per_rho_outside_radius(t_problem, config):
+    # the admissible radius of f = 0, g = t is 1/4
+    with pytest.warns(UserWarning) as record:
+        displacement_scan(t_problem, [0.1, 0.3, 0.2, 0.4], config)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    assert all("admissible radius" in m for m in messages)
+    assert any("0.3 " in m for m in messages) and any("0.4 " in m for m in messages)
+
+
+@pytest.mark.filterwarnings("ignore:initial value")
+def test_scan_blowup_names_the_escaping_rho():
+    # x' = 5 x^2 from x(-1) = rho blows up on [-1, 1] only for rho >= 0.1
+    problem = poly_problem([], [5.0])
+    with pytest.raises(BlowUp, match=r"rho=0\.5$"):
+        displacement_scan(problem, [0.01, 0.02, 0.05, 0.5])
+
+
+def test_scan_step_budget_covers_the_whole_grid(cubic_problem):
+    with pytest.raises(MaxStepsExceeded):
+        displacement_scan(cubic_problem, [0.005, 0.01], SolverConfig(max_steps=5))
+
+
+def test_scan_shares_coefficient_evaluations(config):
+    # counts calls, not time: one vector solve evaluates f and g once per
+    # stage for the whole grid, where separate solves pay per rho
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(t):
+            calls[0] += 1
+            return fn(t)
+
+        return wrapper
+
+    base = cos2pit_problem([0.5, 1, 0.3], [0.2, 1, 0, 0.5])
+    problem = dataclasses.replace(base, f=counted(base.f), g=counted(base.g))
+    rhos = default_rho_grid(problem, config)
+    displacement_scan(problem, rhos, config)
+    scan_calls, calls[0] = calls[0], 0
+    for r in rhos:
+        return_map(problem, r, config)
+    assert scan_calls <= calls[0] / 4
 
 
 # ----------------------------------------------------------------------

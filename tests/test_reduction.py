@@ -227,6 +227,26 @@ def test_coefficient_values_wrap_non_vectorized_callables():
     assert np.allclose(problem.g_values(ts), ts)
 
 
+@pytest.mark.parametrize("n", [2, 5, 9, 12, 16])
+def test_scalar_evaluators_match_exact_coefficients(n):
+    # the integrators' evaluators build cos(kt), sin(kt) by angle addition;
+    # at n = 16 the coefficient f reaches trig degree 34
+    rng = np.random.default_rng(n)
+
+    def dense(degree):
+        return HomogPoly(
+            tuple(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+                  for _ in range(degree + 1))
+        )
+
+    problem = abel_from_planar(PlanarSystem(n=n, P=dense(n), Q=dense(n)))
+    assert problem.f.degree == 2 * (n + 1)
+    ts = np.linspace(-math.pi, math.pi, 1001)
+    for coef, ev in zip((problem.f, problem.g), problem.evaluators()):
+        tol = 1e-13 * coef.linf_bound()
+        assert max(abs(ev(t) - coef.eval(t)) for t in ts) <= tol
+
+
 # ----------------------------------------------------------------------
 # planar system container
 
