@@ -82,10 +82,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.grid_points < 8:
             raise ValidationError("grid_points must be at least 8")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.ball_radius <= 0:
-            raise ValidationError("ball_radius must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValidationError("tolerances must be positive and finite")
+        if not 0 < self.ball_radius < math.inf:
+            raise ValidationError("ball_radius must be positive and finite")
+        if self.max_steps < 1 or self.picard_max_iter < 1:
+            raise ValidationError("max_steps and picard_max_iter must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -33,7 +33,7 @@ from scipy.integrate import simpson
 
 from .abel_solver import DEFAULT_CONFIG, SolverConfig, integrate_abel
 from .errors import ValidationError
-from .reduction import AbelProblem, PlanarSystem, abel_from_planar, compute_AB, homog_to_trig
+from .reduction import AbelProblem, PlanarSystem, abel_from_planar, homog_to_trig
 from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
 __all__ = [
@@ -112,12 +112,9 @@ def classify_planar(system: PlanarSystem) -> Certificate:
     exact mean of A, and the cube-proportionality ratio of the reduced
     pair when it exists.
     """
-    pc = homog_to_trig(system.P)
-    qc = homog_to_trig(system.Q)
-    p_par, q_par = pc.parity(), qc.parity()
-    A, _ = compute_AB(system)
+    p_par, q_par = (homog_to_trig(h).parity() for h in (system.P, system.Q))
     problem = abel_from_planar(system)
-    mean_A = A.mean_value()
+    mean_A = problem.origin.A.mean_value()
     ratio = wronskian_cube_ratio(problem.f, problem.g)
 
     evidence = {

@@ -21,7 +21,8 @@ a closed-form family:
 Config keys mirror the solver configuration (``rel_tol``, ``abs_tol``,
 ``max_steps``, ``picard_tol``, ``picard_max_iter``, ``ball_radius``,
 ``grid_points``) plus command inputs: ``rho_grid`` (scan), ``rho``
-(picard), ``r0`` and ``samples`` (crosscheck).  Command-line flags win
+(picard), ``r0`` and ``samples`` (crosscheck).  Values must be finite
+numbers, integers for the counts and ``seed``.  Command-line flags win
 over file config.  Exit status: 0 success, 2 validation failure, 3
 solver failure.  Reports are deterministic: identical job plus config
 produces byte-identical files.
@@ -49,6 +50,12 @@ _COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 _KINDS = ("planar", "abel")
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 _EXTRA_CONFIG = {"rho_grid", "rho", "r0", "samples", "seed"}
+_INT_CONFIG = {"max_steps", "picard_max_iter", "grid_points", "samples", "seed"}
+
+
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +107,13 @@ def _load_jobspec(path: str) -> dict:
     unknown = set(config) - _CONFIG_FIELDS - _EXTRA_CONFIG
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        if key == "rho_grid":
+            ok = isinstance(value, list) and value and all(map(_finite, value))
+        else:
+            ok = type(value) is int if key in _INT_CONFIG else _finite(value)
+        if not ok:
+            raise ValidationError(f"malformed config value {key}={value!r}")
     return spec
 
 
@@ -140,36 +154,25 @@ def _problem_from_payload(payload: dict) -> AbelProblem:
     return AbelProblem(f=f, g=g, half_width=half_width)
 
 
-def _system_from_payload(payload: dict) -> PlanarSystem:
-    return PlanarSystem.from_json_dict(payload)
-
-
 def _solver_config(spec_config: dict, args) -> SolverConfig:
     kwargs = {k: spec_config[k] for k in _CONFIG_FIELDS if k in spec_config}
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    if args.ball_radius is not None:
-        kwargs["ball_radius"] = args.ball_radius
-    try:
-        return SolverConfig(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"bad solver config: {exc}") from exc
+    for name in ("rel_tol", "abs_tol", "ball_radius"):
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
+    return SolverConfig(**kwargs)
 
 
 def _rho_grid(spec_config: dict, args) -> list[float] | None:
     if args.rho_grid is not None:
         try:
-            return [float(v) for v in args.rho_grid.split(",") if v.strip()]
+            grid = [float(v) for v in args.rho_grid.split(",") if v.strip()]
         except ValueError as exc:
             raise ValidationError(f"bad --rho-grid: {exc}") from exc
+        if not all(map(_finite, grid)):
+            raise ValidationError(f"--rho-grid values must be finite, got {grid}")
+        return grid
     grid = spec_config.get("rho_grid")
-    if grid is None:
-        return None
-    if not isinstance(grid, list) or not grid:
-        raise ValidationError("config rho_grid must be a nonempty list")
-    return [float(v) for v in grid]
+    return None if grid is None else [float(v) for v in grid]
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -188,7 +191,7 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
     spec_config = spec.get("config", {})
 
     if kind == "planar":
-        system = _system_from_payload(spec["payload"])
+        system = PlanarSystem.from_json_dict(spec["payload"])
     else:
         system = None
         problem = _problem_from_payload(spec["payload"])
@@ -245,7 +248,7 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
         if system is None:
             raise ValidationError("crosscheck applies to planar jobs only")
         r0 = float(spec_config.get("r0", 0.05))
-        samples = int(spec_config.get("samples", 64))
+        samples = spec_config.get("samples", 64)
         defect = planar_solver.crosscheck_cherkas(system, r0, config, samples=samples)
         _write_json(
             out_dir, "crosscheck.json", {"r0": r0, "defect": defect, "samples": samples}

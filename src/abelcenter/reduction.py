@@ -34,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import OutsideMonotoneRegion, OutsideTransformImage, ValidationError
-from .trigpoly import Parity, TrigPoly, _frac
+from .trigpoly import Parity, TrigPoly, _frac, _scaled
 
 __all__ = [
     "HomogPoly",
@@ -83,9 +83,7 @@ class HomogPoly:
         """c * x^(degree - y_power) * y^y_power"""
         if not 0 <= y_power <= degree:
             raise ValidationError("y power must lie between 0 and the degree")
-        coeffs = [Fraction(0)] * (degree + 1)
-        coeffs[y_power] = _frac(c)
-        return cls(tuple(coeffs))
+        return cls((0,) * y_power + (c,) + (0,) * (degree - y_power))
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if not isinstance(other, HomogPoly):
@@ -153,35 +151,36 @@ class PlanarSystem:
         return cls(n=n, P=P, Q=Q)
 
 
-_COS = TrigPoly.cosine(1)
-_SIN = TrigPoly.sine(1)
-
-
 def homog_to_trig(p: HomogPoly) -> TrigPoly:
-    """Exact Fourier form of ``p(cos t, sin t)``.
+    """Exact Fourier form of ``p(cos t, sin t)``, e.g. x^2 y -> sin(t)/4 + sin(3t)/4.
 
-    Powers of cos and sin are expanded by repeated exact products, so for
-    example x^2 y becomes sin(t)/4 + sin(3t)/4.
+    With z = e^(it), u = z + 1/z and v = z - 1/z, the real Laurent polynomial
+    T = sum_j (-1)^(j//2) c_j u^(n-j) v^j has a palindromic even-j part (the
+    cosines) and an antipalindromic odd-j part (the sines), so
+    a_k = (T_k + T_-k) / 2^n and b_k = (T_k - T_-k) / 2^n.  T is built by
+    Horner's rule on integer numerators: O(n^2) int operations.
     """
     n = p.degree
-    cos_pow = [TrigPoly.constant(1)]
-    sin_pow = [TrigPoly.constant(1)]
-    for _ in range(n):
-        cos_pow.append(cos_pow[-1] * _COS)
-        sin_pow.append(sin_pow[-1] * _SIN)
-    acc = TrigPoly.zero()
-    for j, cj in enumerate(p.coeffs):
-        if cj:
-            acc = acc + cos_pow[n - j] * sin_pow[j] * cj
-    return acc
+    c, den = _scaled(p.coeffs)
+    # index n + 1 + e holds the coefficient of z^e; one zero pad at each end
+    total, vpow = [0] * (2 * n + 3), [0] * (2 * n + 3)
+    total[n + 1], vpow[n + 1] = c[0], 1
+    for j in range(1, n + 1):
+        total = [0] + [a + b for a, b in zip(total, total[2:])] + [0]
+        vpow = [0] + [a - b for a, b in zip(vpow, vpow[2:])] + [0]
+        if c[j]:
+            cj = -c[j] if j % 4 >= 2 else c[j]
+            total = [t + cj * v for t, v in zip(total, vpow)]
+    pos, neg = total[n + 1 :], total[n + 1 :: -1]
+    cos = [pos[0]] + [a + b for a, b in zip(pos[1:], neg[1:])]
+    return TrigPoly._from_ints(cos, [a - b for a, b in zip(pos, neg)], den << n)
 
 
 def compute_AB(system: PlanarSystem) -> tuple[TrigPoly, TrigPoly]:
-    """Radial and angular circle functions (A, B) of a planar system."""
-    pt = homog_to_trig(system.P)
-    qt = homog_to_trig(system.Q)
-    A = _COS * pt + _SIN * qt
-    B = _COS * qt - _SIN * pt
+    """Circle functions A = homog_to_trig(xP + yQ) and B = homog_to_trig(xQ - yP)."""
+    x, y = HomogPoly.monomial(1, 0), HomogPoly.monomial(1, 1)
+    A = homog_to_trig(x * system.P + y * system.Q)
+    B = homog_to_trig(x * system.Q + HomogPoly.monomial(1, 1, -1) * system.P)
     return A, B
 
 

@@ -14,7 +14,8 @@ expanded through the product-to-sum identities
     sin j sin k = (cos(j-k) - cos(j+k)) / 2
     sin j cos k = (sin(j-k) + sin(j+k)) / 2
 
-which keep everything rational.
+on integer numerators over each operand's lcm denominator, so Fractions
+appear only at the boundary: one per output coefficient.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ import numpy as np
 __all__ = ["Parity", "TrigPoly", "proportional_to_cube"]
 
 RationalLike = Union[Fraction, int, str]
+_ZERO = Fraction(0)
+
+
+def _scaled(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over their lcm denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -74,14 +82,28 @@ class TrigPoly:
         cos = tuple(_frac(c) for c in self.cos)
         sin = tuple(_frac(s) for s in self.sin)
         width = max(len(cos), len(sin), 1)
-        cos = cos + (Fraction(0),) * (width - len(cos))
-        sin = sin + (Fraction(0),) * (width - len(sin))
-        if sin[0] != 0:
+        if sin and sin[0] != 0:
             raise ValueError("sin(0*t) term must be zero")
-        while width > 1 and cos[width - 1] == 0 and sin[width - 1] == 0:
+        self._set(cos + (_ZERO,) * (width - len(cos)), sin + (_ZERO,) * (width - len(sin)))
+
+    def _set(self, cos: tuple, sin: tuple) -> "TrigPoly":
+        width = len(cos)
+        while width > 1 and not cos[width - 1] and not sin[width - 1]:
             width -= 1
         object.__setattr__(self, "cos", cos[:width])
         object.__setattr__(self, "sin", sin[:width])
+        return self
+
+    @classmethod
+    def _make(cls, cos: tuple, sin: tuple) -> "TrigPoly":
+        """For ring results: equal-length Fraction tuples, sin[0] == 0; no re-coercion."""
+        return object.__new__(cls)._set(cos, sin)
+
+    @classmethod
+    def _from_ints(cls, cos: list[int], sin: list[int], den: int) -> "TrigPoly":
+        """Coefficients ``cos[k]/den`` and ``sin[k]/den``; ``sin[0]`` is dropped."""
+        cos = tuple(Fraction(c, den) for c in cos)
+        return cls._make(cos, (_ZERO, *(Fraction(v, den) for v in sin[1:])))
 
     # ------------------------------------------------------------------
     # constructors
@@ -99,18 +121,14 @@ class TrigPoly:
         """c * cos(k t)"""
         if k < 0:
             raise ValueError("harmonic index must be >= 0")
-        cos = [Fraction(0)] * (k + 1)
-        cos[k] = _frac(c)
-        return cls(tuple(cos), (Fraction(0),))
+        return cls((0,) * k + (c,), (0,))
 
     @classmethod
     def sine(cls, k: int, c: RationalLike = 1) -> "TrigPoly":
         """c * sin(k t)"""
         if k < 1:
             raise ValueError("harmonic index must be >= 1 for sine terms")
-        sin = [Fraction(0)] * (k + 1)
-        sin[k] = _frac(c)
-        return cls((Fraction(0),) * (k + 1), tuple(sin))
+        return cls((0,), (0,) * k + (c,))
 
     # ------------------------------------------------------------------
     # structure
@@ -139,10 +157,10 @@ class TrigPoly:
         width = max(len(self.cos), len(other.cos))
         cos = tuple(self.cos_coeff(k) + other.cos_coeff(k) for k in range(width))
         sin = tuple(self.sin_coeff(k) + other.sin_coeff(k) for k in range(width))
-        return TrigPoly(cos, sin)
+        return TrigPoly._make(cos, sin)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly(tuple(-c for c in self.cos), tuple(-s for s in self.sin))
+        return TrigPoly._make(tuple(-c for c in self.cos), tuple(-s for s in self.sin))
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
@@ -152,38 +170,27 @@ class TrigPoly:
     def __mul__(self, other: Union["TrigPoly", RationalLike]) -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             c = _frac(other)
-            return TrigPoly(tuple(a * c for a in self.cos), tuple(b * c for b in self.sin))
-        width = len(self.cos) + len(other.cos) - 1
-        cos = [Fraction(0)] * width
-        sin = [Fraction(0)] * width
-        half = Fraction(1, 2)
-        for j, (cj, sj) in enumerate(zip(self.cos, self.sin)):
+            return TrigPoly._make(tuple(a * c for a in self.cos), tuple(v * c for v in self.sin))
+        n1, n2 = len(self.cos), len(other.cos)
+        x, dx = _scaled(self.cos + self.sin)
+        y, dy = _scaled(other.cos + other.sin)
+        ys = list(zip(y[:n2], y[n2:]))
+        cos = [0] * (n1 + n2 - 1)
+        sin = [0] * (n1 + n2 - 1)
+        for j, (cj, sj) in enumerate(zip(x[:n1], x[n1:])):
             if not cj and not sj:
                 continue
-            for k, (ck, sk) in enumerate(zip(other.cos, other.sin)):
-                if cj and ck:
-                    v = cj * ck * half
-                    cos[abs(j - k)] += v
-                    cos[j + k] += v
-                if sj and sk:
-                    v = sj * sk * half
-                    cos[abs(j - k)] += v
-                    cos[j + k] -= v
-                if sj and ck:
-                    v = sj * ck * half
-                    sin[j + k] += v
-                    if j - k > 0:
-                        sin[j - k] += v
-                    elif j - k < 0:
-                        sin[k - j] -= v
-                if cj and sk:
-                    v = cj * sk * half
-                    sin[j + k] += v
-                    if k - j > 0:
-                        sin[k - j] += v
-                    elif k - j < 0:
-                        sin[j - k] -= v
-        return TrigPoly(tuple(cos), tuple(sin))
+            for k, (ck, sk) in enumerate(ys):
+                cc, ss, sc, cs = cj * ck, sj * sk, sj * ck, cj * sk
+                cos[j + k] += cc - ss
+                sin[j + k] += sc + cs
+                if j >= k:
+                    cos[j - k] += cc + ss
+                    sin[j - k] += sc - cs
+                else:
+                    cos[k - j] += cc + ss
+                    sin[k - j] -= sc - cs
+        return TrigPoly._from_ints(cos, sin, 2 * dx * dy)
 
     __rmul__ = __mul__
 
@@ -193,10 +200,9 @@ class TrigPoly:
         >>> print(TrigPoly.cosine(4, Fraction(1, 8)).derivative())
         -1/2*sin(4t)
         """
-        width = len(self.cos)
-        cos = tuple(k * self.sin[k] for k in range(width))
-        sin = tuple(-k * self.cos[k] for k in range(width))
-        return TrigPoly(cos, sin)
+        cos = tuple(k * v for k, v in enumerate(self.sin))
+        sin = tuple(-k * c for k, c in enumerate(self.cos))
+        return TrigPoly._make(cos, sin)
 
     def mean_value(self) -> Fraction:
         """Average over a full period: exactly the constant coefficient."""
@@ -289,13 +295,6 @@ def proportional_to_cube(h: TrigPoly, g: TrigPoly) -> Fraction | None:
     g3 = g * g * g
     if g3.is_zero():
         return Fraction(0) if h.is_zero() else None
-    for k in range(len(g3.cos)):
-        if g3.cos[k]:
-            ratio = h.cos_coeff(k) / g3.cos[k]
-            break
-        if g3.sin[k]:
-            ratio = h.sin_coeff(k) / g3.sin[k]
-            break
-    if h == g3 * ratio:
-        return ratio
-    return None
+    k = next(k for k, (c, v) in enumerate(zip(g3.cos, g3.sin)) if c or v)
+    ratio = h.cos_coeff(k) / g3.cos[k] if g3.cos[k] else h.sin_coeff(k) / g3.sin[k]
+    return ratio if h == g3 * ratio else None

@@ -8,7 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelcenter import cli
 from abelcenter.cli import main
 
 CUBIC_PAYLOAD = {"n": 3, "P": ["0", "2", "0", "0"], "Q": ["0", "0", "1", "0"]}
@@ -267,6 +270,63 @@ def test_bad_rho_grid_flag(tmp_path):
     spec = {"kind": "planar", "command": "scan", "payload": CUBIC_PAYLOAD}
     code, _ = run_cli(tmp_path, spec, "out", "--rho-grid", "abc,def")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("crosscheck", {"r0": "nan"}),
+        ("scan", {"rho_grid": ["x"]}),
+        ("picard", {"grid_points": 8.5}),
+        ("crosscheck", {"r0": float("nan")}),
+        ("crosscheck", {"samples": True}),
+        ("scan", {"rho_grid": [0.01, float("inf")]}),
+        ("picard", {"rho": 10**400}),
+        ("picard", {"picard_max_iter": 0}),
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, config):
+    spec = {"kind": "planar", "command": command, "payload": CUBIC_PAYLOAD, "config": config}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--rel-tol", "nan"), ("--rho-grid", "0.01,nan")])
+def test_non_finite_flags_exit_2(tmp_path, flags):
+    spec = {"kind": "planar", "command": "scan", "payload": CUBIC_PAYLOAD}
+    code, _ = run_cli(tmp_path, spec, "out", *flags)
+    assert code == 2
+
+
+_BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, {}]),
+    st.integers(-3, 3),
+    st.floats(-1, 1),
+    st.lists(st.one_of(st.floats(allow_nan=True), st.text(max_size=2)), max_size=2),
+)
+
+
+@given(
+    command=st.sampled_from(("certify", "reduce", "scan", "crosscheck", "picard")),
+    config=st.dictionaries(
+        st.sampled_from(sorted(cli._CONFIG_FIELDS | cli._EXTRA_CONFIG)),
+        _BAD_VALUES,
+        min_size=1,
+        max_size=2,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+@pytest.mark.filterwarnings("ignore")
+def test_malformed_config_never_crashes(tmp_path_factory, command, config):
+    tmp_path = tmp_path_factory.mktemp("job")
+    spec = {"kind": "planar", "command": command, "payload": CUBIC_PAYLOAD, "config": config}
+    code, _ = run_cli(tmp_path, spec)
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.filterwarnings("ignore:initial value")

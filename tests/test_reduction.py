@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from abelcenter import (
     AbelProblem,
+    certifier,
+    reduction,
     HomogPoly,
     OutsideMonotoneRegion,
     OutsideTransformImage,
@@ -129,6 +133,97 @@ def test_circle_function_degree_bounds(system):
     A, B = compute_AB(system)
     assert A.degree <= system.n + 1
     assert B.degree <= system.n + 1
+
+
+def _random_homog(rng: random.Random, n: int) -> HomogPoly:
+    return HomogPoly(
+        tuple(
+            Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 9, 16)))
+            if rng.random() < 0.7
+            else 0
+            for _ in range(n + 1)
+        )
+    )
+
+
+def _sympy_trig(expr, t) -> TrigPoly:
+    """Independent Fourier read-off: product-to-sum (``TR8``) to a fixed
+    point, then the coefficient of each cos(kt), sin(kt)."""
+    sp = pytest.importorskip("sympy")
+    from sympy.simplify.fu import TR8
+
+    prev, expr = None, sp.expand(expr)
+    while expr != prev:
+        prev, expr = expr, sp.expand(TR8(expr))
+    cos, sin = {}, {}
+    for term, c in expr.as_coefficients_dict().items():
+        c = Fraction(int(c.p), int(c.q))
+        if term == 1:
+            cos[0] = c
+        else:
+            k = int(term.args[0] / t)
+            (cos if term.func is sp.cos else sin)[k] = c
+    width = max([*cos, *sin, 0]) + 1
+    return TrigPoly(
+        tuple(cos.get(k, 0) for k in range(width)),
+        tuple(sin.get(k, 0) for k in range(width)),
+    )
+
+
+def _sympy_circle(p: HomogPoly, t):
+    sp = pytest.importorskip("sympy")
+    n = p.degree
+    return sum(
+        sp.Rational(c.numerator, c.denominator) * sp.cos(t) ** (n - j) * sp.sin(t) ** j
+        for j, c in enumerate(p.coeffs)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_circle_restriction_matches_sympy(n):
+    t = pytest.importorskip("sympy").Symbol("t", real=True)
+    p = _random_homog(random.Random(1000 + n), n)
+    assert homog_to_trig(p) == _sympy_trig(_sympy_circle(p, t), t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 16])
+def test_circle_functions_match_sympy(n):
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t", real=True)
+    rng = random.Random(2000 + n)
+    system = PlanarSystem(n=n, P=_random_homog(rng, n), Q=_random_homog(rng, n))
+    pc, qc = _sympy_circle(system.P, t), _sympy_circle(system.Q, t)
+    c, s = sp.cos(t), sp.sin(t)
+    A, B = compute_AB(system)
+    assert A == _sympy_trig(c * pc + s * qc, t)
+    assert B == _sympy_trig(c * qc - s * pc, t)
+
+
+def test_exact_layer_work_counts(monkeypatch):
+    """Machine-independent guard of the exact layer's cost: the circle
+    expansion forms no TrigPoly product, and one classification runs one
+    reduction."""
+    calls = Counter()
+    mul, compute = TrigPoly.__mul__, reduction.compute_AB
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_compute(system):
+        calls["compute_AB"] += 1
+        return compute(system)
+
+    monkeypatch.setattr(TrigPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(TrigPoly, "__rmul__", counted_mul)
+    monkeypatch.setattr(reduction, "compute_AB", counted_compute)
+    monkeypatch.setattr(certifier, "compute_AB", counted_compute, raising=False)
+    rng = random.Random(9)
+    system = PlanarSystem(n=9, P=_random_homog(rng, 9), Q=_random_homog(rng, 9))
+    homog_to_trig(system.P)
+    assert calls["mul"] == 0
+    certifier.classify_planar(system)
+    assert calls["compute_AB"] == 1
 
 
 # ----------------------------------------------------------------------

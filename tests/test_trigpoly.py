@@ -126,6 +126,68 @@ def test_product_agrees_with_pointwise_values():
     assert np.max(np.abs(direct - pointwise)) < 1e-12
 
 
+def _reference_product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
+    """The Fraction product-to-sum loop the integer kernel replaced."""
+    width = len(p.cos) + len(q.cos) - 1
+    cos = [Fraction(0)] * width
+    sin = [Fraction(0)] * width
+    half = Fraction(1, 2)
+    for j, (cj, sj) in enumerate(zip(p.cos, p.sin)):
+        for k, (ck, sk) in enumerate(zip(q.cos, q.sin)):
+            if cj and ck:
+                v = cj * ck * half
+                cos[abs(j - k)] += v
+                cos[j + k] += v
+            if sj and sk:
+                v = sj * sk * half
+                cos[abs(j - k)] += v
+                cos[j + k] -= v
+            if sj and ck:
+                v = sj * ck * half
+                sin[j + k] += v
+                if j - k > 0:
+                    sin[j - k] += v
+                elif j - k < 0:
+                    sin[k - j] -= v
+            if cj and sk:
+                v = cj * sk * half
+                sin[j + k] += v
+                if k - j > 0:
+                    sin[k - j] += v
+                elif k - j < 0:
+                    sin[j - k] -= v
+    return TrigPoly(tuple(cos), tuple(sin))
+
+
+@st.composite
+def wide_trigpolys(draw, dens):
+    """Degree up to 50, sparse or dense, large numerators over ``dens``."""
+    deg = draw(st.integers(0, 50))
+    coef = st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(dens)),
+    )
+    cos = tuple(draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1)))
+    sin = (0,) + tuple(draw(st.lists(coef, min_size=deg, max_size=deg)))
+    return TrigPoly(cos, sin)
+
+
+@given(wide_trigpolys((1, 3, 7, 11, 27)), wide_trigpolys((1, 2, 5, 13, 16, 17)))
+@settings(max_examples=25)
+def test_integer_product_matches_fraction_reference(p, q):
+    r = p * q
+    assert r == _reference_product(p, q)
+    assert all(type(c) is Fraction for c in r.cos + r.sin)
+
+
+@given(trigpolys(), trigpolys(), fracs)
+@settings(max_examples=40)
+def test_ring_results_are_canonical(p, q, c):
+    for r in (p + q, p - q, -p, p * q, p * c, c * p, p.derivative(), p * 0):
+        assert r == TrigPoly(r.cos, r.sin)
+        assert all(type(v) is Fraction for v in r.cos + r.sin)
+
+
 # ----------------------------------------------------------------------
 # derivative and mean
 
