@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import DOP853
 
-from .errors import MaxStepsExceeded, StepUnderflow
+from .errors import BlowUp, MaxStepsExceeded, StepUnderflow
 
 # interpolation order of DOP853's local interpolant
 DENSE_ORDER = 7
@@ -48,33 +48,30 @@ class DenseSolution:
 
     def __init__(self, segments: Sequence, t0: float, y0: np.ndarray):
         self._segments = list(segments)
+        self._ends = np.array([seg.t for seg in self._segments])
         self.t0 = float(t0)
         self.y0 = np.asarray(y0, dtype=float)
-        if self._segments:
-            self.t_end = float(self._segments[-1].t)
-        else:
-            self.t_end = self.t0
+        self.t_end = float(self._ends[-1]) if self._segments else self.t0
 
     def __call__(self, ts) -> np.ndarray:
-        """Evaluate the solution; returns shape (n_states,) or (n_states, m)."""
+        """Evaluate the solution; returns shape (n_states,) or (n_states, m).
+
+        Each point goes to the first segment ending at or after it (the
+        last one beyond ``t_end``); only the segments hit are evaluated.
+        """
         scalar = np.isscalar(ts)
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((self.y0.size, ts.size))
-        ends = np.array([seg.t for seg in self._segments])
-        idx = np.searchsorted(ends, ts, side="left")
-        idx = np.clip(idx, 0, len(self._segments) - 1)
-        for i in range(len(self._segments)):
-            hit = idx == i
-            if np.any(hit):
-                vals = self._segments[i](ts[hit])
-                out[:, hit] = vals if vals.ndim == 2 else vals[:, None]
         if not self._segments:
             out[:, :] = self.y0[:, None]
+        else:
+            idx = np.searchsorted(self._ends, ts, side="left")
+            idx = np.minimum(idx, len(self._segments) - 1)
+            for i in np.unique(idx):
+                hit = idx == i
+                vals = self._segments[i](ts[hit])
+                out[:, hit] = vals if vals.ndim == 2 else vals[:, None]
         return out[:, 0] if scalar else out
-
-    @property
-    def last_segment(self):
-        return self._segments[-1] if self._segments else None
 
 
 def solve_dense(
@@ -99,13 +96,20 @@ def solve_dense(
     once it returns True.  Returns the dense solution (``None`` when
     ``dense`` is False) together with the final time and state.  With
     ``per_component`` every component must meet the tolerances on its
-    own (:class:`MaxNormDOP853`) instead of in scipy's RMS norm.
+    own (:class:`MaxNormDOP853`) instead of in scipy's RMS norm.  A
+    non-finite initial derivative raises :class:`BlowUp` before any step,
+    after ``on_step`` has seen the initial state: scipy would take a NaN
+    first step and never return from it.
     """
     method = MaxNormDOP853 if per_component else DOP853
     solver = method(
         rhs, t0, np.asarray(y0, dtype=float), t_bound,
         max_step=max_step, rtol=rtol, atol=atol,
     )
+    if not np.all(np.isfinite(solver.f)):
+        if on_step is not None:
+            on_step(solver.t, solver.y)  # the caller's guard may name the cause
+        raise BlowUp(f"non-finite derivative at the initial point t={t0:.6g}")
     segments = []
     steps = 0
     while solver.status == "running":

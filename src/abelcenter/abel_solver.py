@@ -27,7 +27,6 @@ honestly instead of returning garbage.
 from __future__ import annotations
 
 import enum
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,7 +81,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.grid_points < 8:
             raise ValidationError("grid_points must be at least 8")
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.picard_tol)):
             raise ValidationError("tolerances must be positive and finite")
         if not 0 < self.ball_radius < math.inf:
             raise ValidationError("ball_radius must be positive and finite")
@@ -520,19 +519,18 @@ def operator_bound_check(
 # exports
 
 
+def _csv(header: str, *columns) -> str:
+    """``header`` and one row per index, each value at 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return header + "\n" + "".join([row % v for v in values])
+
+
 def trajectory_to_csv(x: Trajectory) -> str:
     """CSV with columns ``t,x`` at 17 significant digits."""
-    buf = io.StringIO()
-    buf.write("t,x\n")
-    for t, v in zip(x.nodes, x.values):
-        buf.write(f"{t:.17g},{v:.17g}\n")
-    return buf.getvalue()
+    return _csv("t,x", x.nodes, x.values)
 
 
 def report_to_csv(report: DisplacementReport) -> str:
     """CSV with columns ``rho,pi_rho,d_rho`` at 17 significant digits."""
-    buf = io.StringIO()
-    buf.write("rho,pi_rho,d_rho\n")
-    for r, p, d in zip(report.rhos, report.returns, report.displacements):
-        buf.write(f"{r:.17g},{p:.17g},{d:.17g}\n")
-    return buf.getvalue()
+    return _csv("rho,pi_rho,d_rho", report.rhos, report.returns, report.displacements)

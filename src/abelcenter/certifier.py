@@ -34,6 +34,7 @@ from scipy.integrate import simpson
 from .abel_solver import DEFAULT_CONFIG, SolverConfig, integrate_abel
 from .errors import ValidationError
 from .reduction import AbelProblem, PlanarSystem, abel_from_planar, homog_to_trig
+from .reduction import _coefficient_values
 from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
 __all__ = [
@@ -136,14 +137,14 @@ def classify_planar(system: PlanarSystem) -> Certificate:
 
 
 def _spot_check_parity(coef, parity: Parity, half_width: float, label: str) -> None:
-    """Validate a declared parity at 100 sample points (absolute tol 1e-10).
+    """Validate a declared parity at 100 sample points per side (absolute tol 1e-10).
 
     A declaration that fails its own spot check is contradictory input,
     not a certification failure, so this raises instead of downgrading.
     """
     ts = np.linspace(half_width / 100.0, half_width, 100)
-    left = np.fromiter((float(coef(-t)) for t in ts), float, count=ts.size)
-    right = np.fromiter((float(coef(t)) for t in ts), float, count=ts.size)
+    left = _coefficient_values(coef, -ts)
+    right = _coefficient_values(coef, ts)
     if parity is Parity.ODD:
         defect = np.max(np.abs(left + right))
     elif parity is Parity.EVEN:

@@ -22,7 +22,7 @@ Config keys mirror the solver configuration (``rel_tol``, ``abs_tol``,
 ``max_steps``, ``picard_tol``, ``picard_max_iter``, ``ball_radius``,
 ``grid_points``) plus command inputs: ``rho_grid`` (scan), ``rho``
 (picard), ``r0`` and ``samples`` (crosscheck).  Values must be finite
-numbers, integers for the counts and ``seed``.  Command-line flags win
+numbers, integers for the counts.  Command-line flags win
 over file config.  Exit status: 0 success, 2 validation failure, 3
 solver failure.  Reports are deterministic: identical job plus config
 produces byte-identical files.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -49,8 +50,8 @@ __all__ = ["main", "build_parser", "run_job"]
 _COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 _KINDS = ("planar", "abel")
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
-_EXTRA_CONFIG = {"rho_grid", "rho", "r0", "samples", "seed"}
-_INT_CONFIG = {"max_steps", "picard_max_iter", "grid_points", "samples", "seed"}
+_EXTRA_CONFIG = {"rho_grid", "rho", "r0", "samples"}
+_INT_CONFIG = {"max_steps", "picard_max_iter", "grid_points", "samples"}
 
 
 def _finite(value) -> bool:
@@ -75,10 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--m", type=float, dest="ball_radius", help="trust-ball radius for the operator route"
     )
-    parser.add_argument(
-        "--seed", type=int, help="seed for randomized diagnostics (reserved)"
-    )
     return parser
+
+
+# building the argparse parser is not free; every main() call reuses one
+_parser = functools.cache(build_parser)
 
 
 def _load_jobspec(path: str) -> dict:
@@ -278,7 +280,7 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = _load_jobspec(args.spec)
         return run_job(spec, Path(args.out), args)

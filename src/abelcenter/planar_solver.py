@@ -19,7 +19,6 @@ shared).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._ivp import solve_dense
-from .abel_solver import DEFAULT_CONFIG, SolverConfig
+from .abel_solver import DEFAULT_CONFIG, SolverConfig, _csv
 from .errors import BlowUp, LeftMonotoneRegion, SolverError, ValidationError
 from .reduction import (
     HomogPoly,
@@ -164,8 +163,8 @@ def integrate_planar(
     return PlanarTrajectory(times=times, xs=states[0], ys=states[1], thetas=states[2])
 
 
-def _polar_solution(system: PlanarSystem, r0: float, config: SolverConfig):
-    """Dense r(theta) over [0, 2pi] for the radial equation."""
+def _polar_solution(system: PlanarSystem, r0: float, config: SolverConfig, dense=True):
+    """r(theta) over [0, 2pi] for the radial equation: (dense solution or None, r(2pi))."""
     if r0 < 0:
         raise ValidationError("the starting radius must be nonnegative")
     A, B = compute_AB(system)
@@ -187,7 +186,7 @@ def _polar_solution(system: PlanarSystem, r0: float, config: SolverConfig):
         if not math.isfinite(y[0]) or y[0] > escape:
             raise BlowUp(f"radius {y[0]:.6g} escaped at theta={theta:.6g}")
 
-    dense, _, y_end = solve_dense(
+    solution, _, y_end = solve_dense(
         rhs,
         0.0,
         [float(r0)],
@@ -195,17 +194,17 @@ def _polar_solution(system: PlanarSystem, r0: float, config: SolverConfig):
         rtol=config.rel_tol,
         atol=config.abs_tol,
         max_steps=config.max_steps,
+        dense=dense,
         on_step=guard,
     )
-    return dense, float(y_end[0])
+    return solution, float(y_end[0])
 
 
 def polar_return_map(
     system: PlanarSystem, r0: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> float:
     """r(2pi) for the orbit of the radial equation starting at r(0) = r0."""
-    _, r_end = _polar_solution(system, r0, config)
-    return r_end
+    return _polar_solution(system, r0, config, dense=False)[1]
 
 
 def crosscheck_cherkas(
@@ -261,8 +260,4 @@ def crosscheck_cherkas(
 
 def planar_trajectory_to_csv(traj: PlanarTrajectory) -> str:
     """CSV with columns ``t,x,y,theta`` at 17 significant digits."""
-    buf = io.StringIO()
-    buf.write("t,x,y,theta\n")
-    for t, x, y, th in zip(traj.times, traj.xs, traj.ys, traj.thetas):
-        buf.write(f"{t:.17g},{x:.17g},{y:.17g},{th:.17g}\n")
-    return buf.getvalue()
+    return _csv("t,x,y,theta", traj.times, traj.xs, traj.ys, traj.thetas)

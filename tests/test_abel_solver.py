@@ -14,11 +14,13 @@ from scipy.integrate import DOP853
 from abelcenter import (
     BlowUp,
     DenominatorTooSmall,
+    DisplacementReport,
     HomogPoly,
     MaxStepsExceeded,
     NoConvergence,
     NotContractive,
     PlanarSystem,
+    PlanarTrajectory,
     ScanClassification,
     SolverConfig,
     Trajectory,
@@ -33,12 +35,13 @@ from abelcenter import (
     picard_fixed_point,
     picard_operator,
     poly_problem,
+    planar_trajectory_to_csv,
     report_to_csv,
     return_map,
     rho_admissible_bound,
     trajectory_to_csv,
 )
-from abelcenter._ivp import MaxNormDOP853
+from abelcenter._ivp import MaxNormDOP853, solve_dense
 from conftest import make_zero_radial
 
 
@@ -147,6 +150,32 @@ def test_return_map_steps_resolve_high_harmonics(config):
     assert np.all(np.abs(ds) < _eps_center(rhos, config))
 
 
+def test_dense_solution_evaluates_each_point_on_its_own_segment():
+    def rhs(t, y):
+        return (-y[0] + math.sin(3.0 * t), y[0] * y[1])
+
+    sol, t_end, _ = solve_dense(
+        rhs, 0.0, [1.0, 0.5], 6.0, rtol=1e-8, atol=1e-10, max_steps=10_000
+    )
+    segments = sol._segments
+    assert t_end == sol.t_end == 6.0 and len(segments) > 5
+    ends = [seg.t for seg in segments]
+    rng = np.random.default_rng(3)
+    points = np.concatenate(
+        [rng.uniform(-1.0, 7.0, 40), ends, [seg.t_old for seg in segments], [-0.5, 0.0, 6.5]]
+    )
+    rng.shuffle(points)
+
+    def own_segment(t):
+        # the first segment that ends at or after t, the last one beyond t_end
+        return next((seg for seg in segments if seg.t >= t), segments[-1])
+
+    expected = np.stack([own_segment(t)(t) for t in points], axis=1)
+    assert np.array_equal(sol(points), expected)
+    assert np.array_equal(sol(float(points[0])), expected[:, 0])
+    assert sol(float(points[0])).shape == (2,)
+
+
 # ----------------------------------------------------------------------
 # one vector solve per scan
 
@@ -202,6 +231,14 @@ def test_scan_blowup_names_the_escaping_rho():
     problem = poly_problem([], [5.0])
     with pytest.raises(BlowUp, match=r"rho=0\.5$"):
         displacement_scan(problem, [0.01, 0.02, 0.05, 0.5])
+
+
+@pytest.mark.filterwarnings("ignore:initial value", "ignore::RuntimeWarning")
+def test_scan_blowup_at_a_non_finite_start_names_the_rho():
+    # 5 * (1e300)^2 overflows, so the derivative at the start is not finite
+    problem = poly_problem([], [5.0])
+    with pytest.raises(BlowUp, match=r"rho=1e\+300$"):
+        displacement_scan(problem, [0.01, 1e300])
 
 
 def test_scan_step_budget_covers_the_whole_grid(cubic_problem):
@@ -513,6 +550,39 @@ def test_trajectory_sup_norm():
 
 # ----------------------------------------------------------------------
 # exports
+
+
+_CSV_VALUES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, -2.5, 123456789.0, math.pi,
+    math.inf, -math.inf, math.nan,
+])
+
+
+def _row_by_row_csv(header, *columns):
+    """The reference writer: one f-string per numpy scalar."""
+    rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in [header, *rows])
+
+
+@pytest.mark.parametrize("size", [0, 1, 13, 200])
+def test_csv_writers_match_row_by_row_formatting(size):
+    rng = np.random.default_rng(size)
+    cols = [
+        np.concatenate([_CSV_VALUES, rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200)])
+        for _ in range(4)
+    ]
+    for c in cols:
+        rng.shuffle(c)
+    t, x, y, th = (c[:size] for c in cols)
+    traj = Trajectory(nodes=t, values=x, order=0)
+    assert trajectory_to_csv(traj) == _row_by_row_csv("t,x", t, x)
+    report = DisplacementReport(
+        t, x, y, ScanClassification.INDETERMINATE, math.nan, math.nan, math.nan
+    )
+    assert report_to_csv(report) == _row_by_row_csv("rho,pi_rho,d_rho", t, x, y)
+    planar = PlanarTrajectory(times=t, xs=x, ys=y, thetas=th)
+    assert planar_trajectory_to_csv(planar) == _row_by_row_csv("t,x,y,theta", t, x, y, th)
 
 
 def test_trajectory_csv_format(t_problem, config):

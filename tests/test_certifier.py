@@ -160,6 +160,26 @@ def test_true_parity_declaration_survives_spot_check():
     assert cert.verdict is Verdict.CERTIFIED_CENTER
 
 
+def test_spot_check_evaluates_vectorised_coefficients_in_bulk():
+    calls = {"f": 0, "g": 0}
+
+    def counted(label, fn):
+        def coef(t):
+            calls[label] += 1
+            return fn(t)
+
+        return coef
+
+    problem = AbelProblem(
+        f=counted("f", lambda t: np.sin(t) ** 3),
+        g=counted("g", lambda t: np.sin(2 * t)),
+        f_parity=Parity.ODD,
+        g_parity=Parity.ODD,
+    )
+    assert classify_abel(problem).verdict is Verdict.CERTIFIED_CENTER
+    assert 1 <= calls["f"] <= 2 and 1 <= calls["g"] <= 2
+
+
 # ----------------------------------------------------------------------
 # certificate container
 

@@ -283,6 +283,9 @@ def test_bad_rho_grid_flag(tmp_path):
         ("scan", {"rho_grid": [0.01, float("inf")]}),
         ("picard", {"rho": 10**400}),
         ("picard", {"picard_max_iter": 0}),
+        ("picard", {"picard_tol": -1}),
+        ("picard", {"picard_tol": 0}),
+        ("certify", {"seed": 3}),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, config):
@@ -298,6 +301,31 @@ def test_non_finite_flags_exit_2(tmp_path, flags):
     spec = {"kind": "planar", "command": "scan", "payload": CUBIC_PAYLOAD}
     code, _ = run_cli(tmp_path, spec, "out", *flags)
     assert code == 2
+
+
+def test_seed_flag_is_gone(tmp_path, capsys):
+    spec = {"kind": "planar", "command": "certify", "payload": CUBIC_PAYLOAD}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, spec, "out", "--seed", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r0", [1e150, 1e300])
+def test_crosscheck_at_huge_radius_fails_fast(tmp_path, r0):
+    # the polar right-hand side is NaN at the start; scipy would step forever
+    spec_path = tmp_path / "job.json"
+    spec = {"kind": "planar", "command": "crosscheck", "payload": CUBIC_PAYLOAD}
+    spec_path.write_text(json.dumps({**spec, "config": {"r0": r0}}))
+    argv = ["--spec", str(spec_path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "abelcenter", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "BlowUp" in proc.stderr
 
 
 _BAD_VALUES = st.one_of(

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from abelcenter import (
     BlowUp,
@@ -18,6 +19,7 @@ from abelcenter import (
     planar_trajectory_to_csv,
     polar_return_map,
 )
+from abelcenter.planar_solver import _polar_solution
 from conftest import make_zero_radial, parity_corpus
 
 TWO_PI = 2.0 * math.pi
@@ -172,6 +174,25 @@ def test_origin_start_is_rejected(cubic_system):
         integrate_planar(cubic_system, 0.0, 0.0)
     with pytest.raises(ValidationError):
         polar_return_map(cubic_system, -0.1)
+
+
+def test_polar_return_map_builds_no_interpolants(cubic_system, focus_system, config, monkeypatch):
+    built = []
+    dense_output = DOP853.dense_output
+
+    def counted(self):
+        built.append(self.t)
+        return dense_output(self)
+
+    monkeypatch.setattr(DOP853, "dense_output", counted)
+    for system in (cubic_system, focus_system):
+        for r0 in (0.01, 0.05):
+            r_end = polar_return_map(system, r0, config)
+            assert not built
+            dense, r_dense = _polar_solution(system, r0, config)
+            assert built and r_end == r_dense
+            assert dense(TWO_PI)[0] == r_dense
+            built.clear()
 
 
 # ----------------------------------------------------------------------
