@@ -23,6 +23,7 @@ values.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +34,9 @@ from scipy.integrate import simpson
 
 from .abel_solver import DEFAULT_CONFIG, SolverConfig, integrate_abel
 from .errors import ValidationError
-from .reduction import AbelProblem, PlanarSystem, abel_from_planar, homog_to_trig
+from .reduction import AbelProblem, PlanarSystem, abel_from_planar
 from .reduction import _coefficient_values
-from .trigpoly import Parity, TrigPoly, proportional_to_cube
+from .trigpoly import Parity, TrigPoly, _scaled, proportional_to_cube
 
 __all__ = [
     "Verdict",
@@ -113,7 +114,7 @@ def classify_planar(system: PlanarSystem) -> Certificate:
     exact mean of A, and the cube-proportionality ratio of the reduced
     pair when it exists.
     """
-    p_par, q_par = (homog_to_trig(h).parity() for h in (system.P, system.Q))
+    p_par, q_par = system.P.parity(), system.Q.parity()
     problem = abel_from_planar(system)
     mean_A = problem.origin.A.mean_value()
     ratio = wronskian_cube_ratio(problem.f, problem.g)
@@ -209,12 +210,51 @@ def wronskian_cube_ratio(f: TrigPoly, g: TrigPoly) -> Optional[Fraction]:
     entry condition of a known center-classification family; callers use
     the returned constant as certificate evidence.  Follows the
     convention of :func:`~abelcenter.trigpoly.proportional_to_cube` when
-    both sides vanish.
+    both sides vanish.  An exact integer screen at three points rejects most
+    pairs before that test runs.
     """
     if not (isinstance(f, TrigPoly) and isinstance(g, TrigPoly)):
         raise ValidationError("the cube-ratio test needs exact trig-polynomial input")
+    if _screen_rejects(f, g):
+        return None
     h = f.derivative() * g - f * g.derivative()
     return proportional_to_cube(h, g)
+
+
+@functools.lru_cache(maxsize=64)
+def _screen_points(w: int) -> tuple:
+    """(R, weights) at three points t whose cos t = p/r and sin t = q/r are
+    rational: R = r^(w-1) and the integers R cos kt, R sin kt for k < w."""
+    points = []
+    for p, q, r in ((3, 4, 5), (-5, 12, 13), (8, -15, 17)):
+        re, im, weights = 1, 0, []  # re + i im = (p + iq)^k = r^k e^(ikt)
+        for k in range(w):
+            weights.append((re * r ** (w - 1 - k), im * r ** (w - 1 - k)))
+            re, im = re * p - im * q, re * q + im * p
+        points.append((r ** (w - 1), weights))
+    return tuple(points)
+
+
+def _screen_rejects(f: TrigPoly, g: TrigPoly) -> bool:
+    """True if exact values at three points t_i prove f'g - fg' is no constant
+    multiple of g^3, which would make every h(t_i) g^3(t_j) - h(t_j) g^3(t_i)
+    with h = f'g - fg' vanish.  False decides nothing."""
+    (x, _), (y, _) = _scaled(f.cos + f.sin), _scaled(g.cos + g.sin)
+    rows = ((x[: len(f.cos)], x[len(f.cos) :]), (y[: len(g.cos)], y[len(g.cos) :]))
+    values = []  # R h(t_i) and g^3(t_i), each up to a factor common to all points
+    for R, weights in _screen_points(max(len(f.cos), len(g.cos))):
+        (F, dF), (G, dG) = (_value_and_slope(weights, c, s) for c, s in rows)
+        values.append((R * (dF * G - F * dG), G**3))
+    pairs = zip(values, values[1:] + values[:1])
+    return any(h_i * g3_j != h_j * g3_i for (h_i, g3_i), (h_j, g3_j) in pairs)
+
+
+def _value_and_slope(weights: list, c: list[int], s: list[int]) -> tuple[int, int]:
+    """R p(t), R p'(t) for p = sum c_k cos kt + s_k sin kt at a screen point."""
+    v = dv = 0
+    for k, ((cw, sw), a, b) in enumerate(zip(weights, c, s)):
+        v, dv = v + a * cw + b * sw, dv + k * (b * cw - a * sw)
+    return v, dv
 
 
 @dataclass(frozen=True, eq=False)

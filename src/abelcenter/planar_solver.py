@@ -163,14 +163,13 @@ def integrate_planar(
     return PlanarTrajectory(times=times, xs=states[0], ys=states[1], thetas=states[2])
 
 
-def _polar_solution(system: PlanarSystem, r0: float, config: SolverConfig, dense=True):
-    """r(theta) over [0, 2pi] for the radial equation: (dense solution or None, r(2pi))."""
+def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
+    """r(theta) over [0, 2pi] for r' = A r^n / (1 + B r^(n-1)) with circle
+    functions A and B: (dense solution or None, r(2pi))."""
     if r0 < 0:
         raise ValidationError("the starting radius must be nonnegative")
-    A, B = compute_AB(system)
     a_ev = _scalar_evaluator(A)
     b_ev = _scalar_evaluator(B)
-    n = system.n
     escape = 10.0 * max(1.0, r0)
 
     def rhs(theta, y):
@@ -204,7 +203,7 @@ def polar_return_map(
     system: PlanarSystem, r0: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> float:
     """r(2pi) for the orbit of the radial equation starting at r(0) = r0."""
-    return _polar_solution(system, r0, config, dense=False)[1]
+    return _polar_solution(system.n, *compute_AB(system), r0, config, dense=False)[1]
 
 
 def crosscheck_cherkas(
@@ -226,7 +225,7 @@ def crosscheck_cherkas(
     problem = abel_from_planar(system)
     B = problem.origin.B
     n = system.n
-    r_dense, _ = _polar_solution(system, r0, config)
+    r_dense, _ = _polar_solution(n, problem.origin.A, B, r0, config)
     gamma0 = cherkas_forward(r0, 0.0, B, n)
     f_ev, g_ev = problem.evaluators()
 

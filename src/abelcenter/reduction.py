@@ -34,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import OutsideMonotoneRegion, OutsideTransformImage, ValidationError
-from .trigpoly import Parity, TrigPoly, _frac, _scaled
+from .trigpoly import Parity, TrigPoly, _frac, _mul_ints, _parity, _scaled
 
 __all__ = [
     "HomogPoly",
@@ -73,6 +73,12 @@ class HomogPoly:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def parity(self) -> Parity:
+        """Parity of ``p(cos t, sin t)`` under t -> -t: that of the y-power j of
+        each nonzero term.  Exact, as the even-j and odd-j parts are homogeneous
+        and a homogeneous polynomial that vanishes on the circle is zero."""
+        return _parity(any(self.coeffs[::2]), any(self.coeffs[1::2]))
 
     @classmethod
     def zero(cls, degree: int) -> "HomogPoly":
@@ -151,17 +157,16 @@ class PlanarSystem:
         return cls(n=n, P=P, Q=Q)
 
 
-def homog_to_trig(p: HomogPoly) -> TrigPoly:
-    """Exact Fourier form of ``p(cos t, sin t)``, e.g. x^2 y -> sin(t)/4 + sin(3t)/4.
+def _circle_ints(c: list[int]) -> tuple[list[int], list[int]]:
+    """Cosine and sine rows, over 2^n, of sum_j c_j cos^(n-j) sin^j with n = len(c) - 1.
 
     With z = e^(it), u = z + 1/z and v = z - 1/z, the real Laurent polynomial
     T = sum_j (-1)^(j//2) c_j u^(n-j) v^j has a palindromic even-j part (the
     cosines) and an antipalindromic odd-j part (the sines), so
     a_k = (T_k + T_-k) / 2^n and b_k = (T_k - T_-k) / 2^n.  T is built by
-    Horner's rule on integer numerators: O(n^2) int operations.
+    Horner's rule on the integers: O(n^2) int operations.
     """
-    n = p.degree
-    c, den = _scaled(p.coeffs)
+    n = len(c) - 1
     # index n + 1 + e holds the coefficient of z^e; one zero pad at each end
     total, vpow = [0] * (2 * n + 3), [0] * (2 * n + 3)
     total[n + 1], vpow[n + 1] = c[0], 1
@@ -173,15 +178,29 @@ def homog_to_trig(p: HomogPoly) -> TrigPoly:
             total = [t + cj * v for t, v in zip(total, vpow)]
     pos, neg = total[n + 1 :], total[n + 1 :: -1]
     cos = [pos[0]] + [a + b for a, b in zip(pos[1:], neg[1:])]
-    return TrigPoly._from_ints(cos, [a - b for a, b in zip(pos, neg)], den << n)
+    return cos, [a - b for a, b in zip(pos, neg)]
+
+
+def homog_to_trig(p: HomogPoly) -> TrigPoly:
+    """Exact Fourier form of ``p(cos t, sin t)``.
+
+    >>> print(homog_to_trig(HomogPoly.monomial(3, 1)))  # x^2 y
+    1/4*sin(1t) + 1/4*sin(3t)
+    """
+    c, den = _scaled(p.coeffs)
+    return TrigPoly._from_ints(*_circle_ints(c), den << p.degree)
 
 
 def compute_AB(system: PlanarSystem) -> tuple[TrigPoly, TrigPoly]:
-    """Circle functions A = homog_to_trig(xP + yQ) and B = homog_to_trig(xQ - yP)."""
-    x, y = HomogPoly.monomial(1, 0), HomogPoly.monomial(1, 1)
-    A = homog_to_trig(x * system.P + y * system.Q)
-    B = homog_to_trig(x * system.Q + HomogPoly.monomial(1, 1, -1) * system.P)
-    return A, B
+    """Circle functions A = (xP + yQ)(cos t, sin t) and B = (xQ - yP)(cos t, sin t)."""
+    n = system.n
+    c, den = _scaled(system.P.coeffs + system.Q.coeffs)
+    p, q = c[: n + 1], c[n + 1 :]
+    # multiplying by x keeps the y-power index j, by y shifts it to j + 1
+    a = [xp + yq for xp, yq in zip(p + [0], [0] + q)]
+    b = [xq - yp for xq, yp in zip(q + [0], [0] + p)]
+    den <<= n + 1
+    return TrigPoly._from_ints(*_circle_ints(a), den), TrigPoly._from_ints(*_circle_ints(b), den)
 
 
 @dataclass(frozen=True)
@@ -283,9 +302,14 @@ def abel_from_planar(system: PlanarSystem) -> AbelProblem:
     degree at most 2(n+1) and g = (n-1) A - B' of degree at most n+1.
     """
     A, B = compute_AB(system)
-    m = system.n - 1
-    f = A * B * Fraction(-m)
-    g = A * Fraction(m) - B.derivative()
+    m, w = system.n - 1, max(len(A.cos), len(B.cos))
+    x, den = _scaled(sum((r + (0,) * (w - len(r)) for r in (A.cos, A.sin, B.cos, B.sin)), ()))
+    ac, as_, bc, bs = (x[i * w : (i + 1) * w] for i in range(4))
+    cos, sin = _mul_ints(ac, as_, bc, bs)  # numerators of AB over 2 den^2
+    f = TrigPoly._from_ints([-m * v for v in cos], [-m * v for v in sin], 2 * den * den)
+    # B' has k*bs[k] on cos(kt) and -k*bc[k] on sin(kt)
+    gc = [m * a - k * b for k, (a, b) in enumerate(zip(ac, bs))]
+    g = TrigPoly._from_ints(gc, [m * a + k * b for k, (a, b) in enumerate(zip(as_, bc))], den)
     return AbelProblem(
         f=f,
         g=g,

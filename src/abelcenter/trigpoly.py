@@ -40,6 +40,27 @@ def _scaled(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _mul_ints(xc: list[int], xs: list[int], yc: list[int], ys: list[int]):
+    """Cosine and sine rows of 2xy for integer rows x = (xc, xs), y = (yc, ys)."""
+    cos = [0] * (len(xc) + len(yc) - 1)
+    sin = [0] * (len(xc) + len(yc) - 1)
+    pairs = list(zip(yc, ys))
+    for j, (cj, sj) in enumerate(zip(xc, xs)):
+        if not cj and not sj:
+            continue
+        for k, (ck, sk) in enumerate(pairs):
+            cc, ss, sc, cs = cj * ck, sj * sk, sj * ck, cj * sk
+            cos[j + k] += cc - ss
+            sin[j + k] += sc + cs
+            if j >= k:
+                cos[j - k] += cc + ss
+                sin[j - k] += sc - cs
+            else:
+                cos[k - j] += cc + ss
+                sin[k - j] -= sc - cs
+    return cos, sin
+
+
 def _frac(value: RationalLike) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
     if isinstance(value, Fraction):
@@ -56,6 +77,13 @@ class Parity(enum.Enum):
     ODD = "odd"
     ZERO = "zero"
     NEITHER = "neither"
+
+
+def _parity(has_even: bool, has_odd: bool) -> Parity:
+    """Parity of a sum of an even part and an odd part, from which of them is nonzero."""
+    if not has_even:
+        return Parity.ODD if has_odd else Parity.ZERO
+    return Parity.NEITHER if has_odd else Parity.EVEN
 
 
 @dataclass(frozen=True)
@@ -174,22 +202,7 @@ class TrigPoly:
         n1, n2 = len(self.cos), len(other.cos)
         x, dx = _scaled(self.cos + self.sin)
         y, dy = _scaled(other.cos + other.sin)
-        ys = list(zip(y[:n2], y[n2:]))
-        cos = [0] * (n1 + n2 - 1)
-        sin = [0] * (n1 + n2 - 1)
-        for j, (cj, sj) in enumerate(zip(x[:n1], x[n1:])):
-            if not cj and not sj:
-                continue
-            for k, (ck, sk) in enumerate(ys):
-                cc, ss, sc, cs = cj * ck, sj * sk, sj * ck, cj * sk
-                cos[j + k] += cc - ss
-                sin[j + k] += sc + cs
-                if j >= k:
-                    cos[j - k] += cc + ss
-                    sin[j - k] += sc - cs
-                else:
-                    cos[k - j] += cc + ss
-                    sin[k - j] -= sc - cs
+        cos, sin = _mul_ints(x[:n1], x[n1:], y[:n2], y[n2:])
         return TrigPoly._from_ints(cos, sin, 2 * dx * dy)
 
     __rmul__ = __mul__
@@ -213,20 +226,12 @@ class TrigPoly:
 
     def parity(self) -> Parity:
         """Parity under t -> -t, decided exactly from the coefficients."""
-        has_cos = any(self.cos)
-        has_sin = any(self.sin)
-        if not has_cos and not has_sin:
-            return Parity.ZERO
-        if not has_cos:
-            return Parity.ODD
-        if not has_sin:
-            return Parity.EVEN
-        return Parity.NEITHER
+        return _parity(any(self.cos), any(self.sin))
 
     def linf_bound(self) -> float:
         """Upper bound for sup |p| : the l1 norm of the coefficients."""
-        total = sum(abs(c) for c in self.cos) + sum(abs(s) for s in self.sin)
-        return float(total)
+        x, den = _scaled(self.cos + self.sin)
+        return sum(map(abs, x)) / den  # int / int rounds correctly, as float(Fraction) does
 
     def eval(self, t: float) -> float:
         """Evaluate at a single point in floating point."""

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelcenter import (
     AbelProblem,
     Basis,
     Certificate,
+    HomogPoly,
     Parity,
+    PlanarSystem,
     TrigPoly,
     ValidationError,
     Verdict,
@@ -21,8 +26,10 @@ from abelcenter import (
     classify_planar,
     moment_conditions,
     poly_problem,
+    proportional_to_cube,
     wronskian_cube_ratio,
 )
+from abelcenter import certifier
 from conftest import make_zero_radial, parity_corpus
 
 
@@ -246,6 +253,93 @@ def test_proportional_coefficients_give_zero_ratio():
 def test_cube_ratio_requires_exact_coefficients():
     with pytest.raises(ValidationError):
         wronskian_cube_ratio(lambda t: t, TrigPoly.sine(1))
+
+
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def true_ratio_pairs(draw):
+    """(f, g, a) with f'g - fg' = a g^3: g of mean 0 and degree <= 8,
+    G = integral of g (periodic), f = (a G + c) g, so (f/g)' = a g."""
+    deg = draw(st.integers(1, 8))
+    cos = [draw(fracs) for _ in range(deg)]
+    sin = [draw(fracs) for _ in range(deg)]
+    if not any(cos) and not any(sin):
+        sin[-1] = Fraction(1)
+    g = TrigPoly((0, *cos), (0, *sin))
+    G = TrigPoly(
+        (0, *(-b / k for k, b in enumerate(sin, 1))), (0, *(a / k for k, a in enumerate(cos, 1)))
+    )
+    a, c = draw(fracs), draw(fracs)
+    return (G * a + TrigPoly.constant(c)) * g, g, a
+
+
+@given(true_ratio_pairs())
+@settings(max_examples=200)
+def test_cube_ratio_screen_never_rejects_a_true_ratio(pair):
+    f, g, a = pair
+    assert wronskian_cube_ratio(f, g) == a
+
+
+@pytest.mark.parametrize(
+    "f", [TrigPoly.zero(), TrigPoly.sine(3, Fraction(2, 7)), TrigPoly.constant(5)]
+)
+def test_cube_ratio_with_vanishing_g(f):
+    """g = 0 makes f'g - fg' = 0 = g^3 for every f: the ratio 0 by convention."""
+    assert wronskian_cube_ratio(f, TrigPoly.zero()) == 0
+
+
+def test_cube_ratio_of_hamiltonian_system():
+    """P = -h_y, Q = h_x: f and g have a cube ratio (mean_A = 0)."""
+    h = (Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(5), Fraction(-1, 4))  # degree 4
+    P = HomogPoly(tuple(-(j + 1) * h[j + 1] for j in range(4)))
+    Q = HomogPoly(tuple((4 - j) * h[j] for j in range(4)))
+    problem = abel_from_planar(PlanarSystem(n=3, P=P, Q=Q))
+    f, g = problem.f, problem.g
+    exact = proportional_to_cube(f.derivative() * g - f * g.derivative(), g)
+    assert exact is not None
+    assert wronskian_cube_ratio(f, g) == exact
+
+
+def _screen_corpus(seed: int):
+    """Dense, sparse and parity-built systems, n = 2..16, small rationals."""
+    rng = random.Random(seed)
+    small = (-3, -2, -1, 1, 2, 3)
+
+    def coeff(density):
+        if rng.random() >= density:
+            return 0
+        return Fraction(rng.choice(small), rng.choice((1, 2, 3, 4)))
+
+    for n in range(2, 17):
+        for _ in range(7):
+            for density in (1.0, 0.25):
+                P = HomogPoly(tuple(coeff(density) for _ in range(n + 1)))
+                Q = HomogPoly(tuple(coeff(density) for _ in range(n + 1)))
+                yield PlanarSystem(n=n, P=P, Q=Q)
+            m1, m2 = rng.choice(range(1, n + 1, 2)), rng.choice(range(0, n + 1, 2))
+            yield PlanarSystem(
+                n=n,
+                P=HomogPoly.monomial(n, m1, rng.choice(small)),
+                Q=HomogPoly.monomial(n, m2, rng.choice(small)),
+            )
+
+
+def test_cube_ratio_screen_agrees_with_exact_test():
+    """The screen never loses a ratio, and on this corpus it lets through
+    only the pairs that have one."""
+    systems = list(_screen_corpus(1203))
+    assert len(systems) >= 300
+    found = 0
+    for system in systems:
+        problem = abel_from_planar(system)
+        f, g = problem.f, problem.g
+        exact = proportional_to_cube(f.derivative() * g - f * g.derivative(), g)
+        assert wronskian_cube_ratio(f, g) == exact, system
+        assert certifier._screen_rejects(f, g) == (exact is None), system
+        found += exact is not None
+    assert 0 < found < len(systems)
 
 
 # ----------------------------------------------------------------------

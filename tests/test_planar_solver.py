@@ -19,7 +19,9 @@ from abelcenter import (
     planar_trajectory_to_csv,
     polar_return_map,
 )
+from abelcenter import planar_solver, reduction
 from abelcenter.planar_solver import _polar_solution
+from abelcenter.reduction import compute_AB
 from conftest import make_zero_radial, parity_corpus
 
 TWO_PI = 2.0 * math.pi
@@ -120,6 +122,20 @@ def test_crosscheck_on_benchmarks(cubic_system, focus_system, rotation_system, c
     assert crosscheck_cherkas(rotation_system, 0.05, config) < 1e-12
 
 
+def test_crosscheck_expands_the_circle_functions_once(cubic_system, config, monkeypatch):
+    calls = []
+    compute = reduction.compute_AB
+
+    def counted(system):
+        calls.append(system)
+        return compute(system)
+
+    monkeypatch.setattr(reduction, "compute_AB", counted)
+    monkeypatch.setattr(planar_solver, "compute_AB", counted)
+    assert crosscheck_cherkas(cubic_system, 0.05, config) < 1e-9
+    assert len(calls) == 1
+
+
 def test_crosscheck_zero_radial(config):
     assert crosscheck_cherkas(make_zero_radial(3, 1), 0.3, config) < 1e-9
 
@@ -189,7 +205,7 @@ def test_polar_return_map_builds_no_interpolants(cubic_system, focus_system, con
         for r0 in (0.01, 0.05):
             r_end = polar_return_map(system, r0, config)
             assert not built
-            dense, r_dense = _polar_solution(system, r0, config)
+            dense, r_dense = _polar_solution(system.n, *compute_AB(system), r0, config)
             assert built and r_end == r_dense
             assert dense(TWO_PI)[0] == r_dense
             built.clear()

@@ -87,6 +87,38 @@ def test_homog_poly_validation():
         HomogPoly((Fraction(1),)) + HomogPoly((Fraction(1), Fraction(0)))
 
 
+@st.composite
+def parity_probes(draw):
+    """Degree 0..16 with nonzero coefficients at even, odd, all or no y-powers."""
+    n = draw(st.integers(0, 16))
+    keep = draw(st.sampled_from([lambda j: j % 2 == 0, lambda j: j % 2 == 1, lambda j: True]))
+    coeffs = [draw(fracs) if keep(j) else Fraction(0) for j in range(n + 1)]
+    return HomogPoly(tuple(coeffs))
+
+
+@given(parity_probes())
+@settings(max_examples=80)
+def test_parity_by_index_matches_circle_expansion(p):
+    assert p.parity() is homog_to_trig(p).parity()
+
+
+@pytest.mark.parametrize(
+    "coeffs,parity",
+    [
+        ((0,), Parity.ZERO),
+        ((0, 0, 0, 0), Parity.ZERO),
+        ((5,), Parity.EVEN),
+        ((1, 0, -2, 0, 3), Parity.EVEN),
+        ((0, 1, 0, 4), Parity.ODD),
+        ((0, 0, 0, 0, 0, 7), Parity.ODD),
+        ((1, 1), Parity.NEITHER),
+    ],
+)
+def test_parity_by_index_fixed_cases(coeffs, parity):
+    p = HomogPoly(coeffs)
+    assert p.parity() is parity is homog_to_trig(p).parity()
+
+
 # ----------------------------------------------------------------------
 # circle functions
 
@@ -200,11 +232,11 @@ def test_circle_functions_match_sympy(n):
 
 
 def test_exact_layer_work_counts(monkeypatch):
-    """Machine-independent guard of the exact layer's cost: the circle
-    expansion forms no TrigPoly product, and one classification runs one
-    reduction."""
+    """Machine-independent guard of the exact layer's cost: one classification
+    runs one reduction, which expands two homogeneous polynomials on the
+    circle (xP + yQ and xQ - yP) and forms no TrigPoly product."""
     calls = Counter()
-    mul, compute = TrigPoly.__mul__, reduction.compute_AB
+    mul, compute, expand = TrigPoly.__mul__, reduction.compute_AB, reduction._circle_ints
 
     def counted_mul(self, other):
         calls["mul"] += 1
@@ -214,16 +246,28 @@ def test_exact_layer_work_counts(monkeypatch):
         calls["compute_AB"] += 1
         return compute(system)
 
+    def counted_expand(c):
+        calls["expand"] += 1
+        return expand(c)
+
     monkeypatch.setattr(TrigPoly, "__mul__", counted_mul)
     monkeypatch.setattr(TrigPoly, "__rmul__", counted_mul)
     monkeypatch.setattr(reduction, "compute_AB", counted_compute)
     monkeypatch.setattr(certifier, "compute_AB", counted_compute, raising=False)
+    monkeypatch.setattr(reduction, "_circle_ints", counted_expand)
     rng = random.Random(9)
     system = PlanarSystem(n=9, P=_random_homog(rng, 9), Q=_random_homog(rng, 9))
     homog_to_trig(system.P)
     assert calls["mul"] == 0
+    calls.clear()
     certifier.classify_planar(system)
     assert calls["compute_AB"] == 1
+    assert calls["expand"] == 2
+    calls.clear()
+    problem = abel_from_planar(system)
+    assert calls["mul"] == 0
+    assert certifier.wronskian_cube_ratio(problem.f, problem.g) is None
+    assert calls["mul"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abelcenter.reduction
 import abelcenter.trigpoly
 from abelcenter import Parity, TrigPoly, proportional_to_cube
 
@@ -26,8 +27,9 @@ def trigpolys(draw, max_degree: int = 4):
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(abelcenter.trigpoly)
-    assert failures == 0
+    for module in (abelcenter.trigpoly, abelcenter.reduction):
+        failures, tried = doctest.testmod(module)
+        assert failures == 0 and tried > 0
 
 
 # ----------------------------------------------------------------------
