@@ -26,6 +26,11 @@ from abelcenter import (
 
 
 def make_system(rng: np.random.Generator) -> PlanarSystem:
+    """Random monomial system whose circle functions have odd/even parity.
+
+    P = a x^N1 y^M1 with M1 odd and Q = b x^N2 y^M2 with M2 even, so
+    P(cos, sin) is odd and Q(cos, sin) is even in the angle.
+    """
     n = int(rng.choice([2, 4, 6]))
     m1 = int(rng.choice(np.arange(1, n + 1, 2)))
     m2 = int(rng.choice(np.arange(0, n + 1, 2)))

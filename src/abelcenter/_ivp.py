@@ -1,9 +1,13 @@
-"""Thin stepping loop around scipy's DOP853.
+"""Thin stepping loop around scipy's DOP853: the one solver core.
 
 scipy's ``solve_ivp`` hides the step loop, which makes it awkward to
 enforce a step budget, run per-step guards (blow-up, region checks), or
 stop on a state-dependent condition.  This wrapper drives the solver
-class directly.  In dense mode it keeps every local interpolant so
+class directly, reads the tolerances and the step budget from a
+:class:`~abelcenter.abel_solver.SolverConfig`, and aborts with
+:class:`~abelcenter.errors.BlowUp` on a non-finite state, so callers
+keep only the checks that are their own.  In dense mode it keeps every
+local interpolant in scipy's :class:`~scipy.integrate.OdeSolution`, so
 solutions can be evaluated anywhere afterwards; callers that need only
 the final state switch that off and save the interpolants' extra
 right-hand-side evaluations.  A vector state whose components are
@@ -13,12 +17,16 @@ each component is held to the tolerances on its own.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, OdeSolution
 
 from .errors import BlowUp, MaxStepsExceeded, StepUnderflow
+
+if TYPE_CHECKING:
+    from .abel_solver import SolverConfig
 
 # interpolation order of DOP853's local interpolant
 DENSE_ORDER = 7
@@ -43,35 +51,9 @@ class MaxNormDOP853(DOP853):
         return abs(h) * float(ratio.max())
 
 
-class DenseSolution:
-    """Piecewise dense output of a completed integration."""
-
-    def __init__(self, segments: Sequence, t0: float, y0: np.ndarray):
-        self._segments = list(segments)
-        self._ends = np.array([seg.t for seg in self._segments])
-        self.t0 = float(t0)
-        self.y0 = np.asarray(y0, dtype=float)
-        self.t_end = float(self._ends[-1]) if self._segments else self.t0
-
-    def __call__(self, ts) -> np.ndarray:
-        """Evaluate the solution; returns shape (n_states,) or (n_states, m).
-
-        Each point goes to the first segment ending at or after it (the
-        last one beyond ``t_end``); only the segments hit are evaluated.
-        """
-        scalar = np.isscalar(ts)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((self.y0.size, ts.size))
-        if not self._segments:
-            out[:, :] = self.y0[:, None]
-        else:
-            idx = np.searchsorted(self._ends, ts, side="left")
-            idx = np.minimum(idx, len(self._segments) - 1)
-            for i in np.unique(idx):
-                hit = idx == i
-                vals = self._segments[i](ts[hit])
-                out[:, hit] = vals if vals.ndim == 2 else vals[:, None]
-        return out[:, 0] if scalar else out
+# bench/tracing.py wraps ``DenseSolution.__call__`` under this name to count
+# dense-output points
+DenseSolution = OdeSolution
 
 
 def solve_dense(
@@ -79,24 +61,26 @@ def solve_dense(
     t0: float,
     y0: Sequence[float],
     t_bound: float,
+    config: SolverConfig,
     *,
-    rtol: float,
-    atol: float,
-    max_steps: int,
     max_step: float = np.inf,
     dense: bool = True,
     per_component: bool = False,
     on_step: Callable[[float, np.ndarray], None] | None = None,
     stop: Callable[[float, np.ndarray], bool] | None = None,
-) -> tuple[DenseSolution | None, float, np.ndarray]:
+) -> tuple[OdeSolution | None, float, np.ndarray]:
     """Integrate to ``t_bound`` (may be ``np.inf`` when ``stop`` is given).
 
+    ``config`` supplies ``rel_tol``, ``abs_tol`` and ``max_steps``;
     ``max_step`` caps the step size.  ``on_step`` runs after every
-    accepted step and may raise to abort; ``stop`` ends the integration
-    once it returns True.  Returns the dense solution (``None`` when
-    ``dense`` is False) together with the final time and state.  With
-    ``per_component`` every component must meet the tolerances on its
-    own (:class:`MaxNormDOP853`) instead of in scipy's RMS norm.  A
+    accepted step and may raise to abort; a state that is still
+    non-finite after it raises :class:`BlowUp`.  ``stop`` ends the
+    integration once it returns True.  Returns the dense solution
+    (``None`` when ``dense`` is False) together with the final time and
+    state; each point goes to the first segment ending at or after it,
+    clamped outside the integrated range.  With ``per_component`` every
+    component must meet the tolerances on its own
+    (:class:`MaxNormDOP853`) instead of in scipy's RMS norm.  A
     non-finite initial derivative raises :class:`BlowUp` before any step,
     after ``on_step`` has seen the initial state: scipy would take a NaN
     first step and never return from it.
@@ -104,7 +88,7 @@ def solve_dense(
     method = MaxNormDOP853 if per_component else DOP853
     solver = method(
         rhs, t0, np.asarray(y0, dtype=float), t_bound,
-        max_step=max_step, rtol=rtol, atol=atol,
+        max_step=max_step, rtol=config.rel_tol, atol=config.abs_tol,
     )
     if not np.all(np.isfinite(solver.f)):
         if on_step is not None:
@@ -114,8 +98,8 @@ def solve_dense(
     steps = 0
     while solver.status == "running":
         steps += 1
-        if steps > max_steps:
-            raise MaxStepsExceeded(f"exceeded {max_steps} steps at t={solver.t:.6g}")
+        if steps > config.max_steps:
+            raise MaxStepsExceeded(f"exceeded {config.max_steps} steps at t={solver.t:.6g}")
         message = solver.step()
         if solver.status == "failed":
             raise StepUnderflow(f"integrator failed at t={solver.t:.6g}: {message}")
@@ -123,7 +107,10 @@ def solve_dense(
             segments.append(solver.dense_output())
         if on_step is not None:
             on_step(solver.t, solver.y)
+        # plain floats: numpy's reduction costs more than these small states
+        if not all(map(math.isfinite, solver.y.tolist())):
+            raise BlowUp(f"non-finite state at t={solver.t:.6g}")
         if stop is not None and stop(solver.t, solver.y):
             break
-    solution = DenseSolution(segments, t0, np.asarray(y0, dtype=float)) if dense else None
+    solution = OdeSolution([t0, *(seg.t for seg in segments)], segments) if dense else None
     return solution, solver.t, solver.y.copy()

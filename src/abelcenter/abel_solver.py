@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 
+# ceiling on grid_points and on crosscheck sample counts: far below any
+# size that would exhaust memory, far above any grid the package needs
+MAX_GRID_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared numeric knobs; the defaults are used throughout the tests."""
@@ -79,8 +84,10 @@ class SolverConfig:
     grid_points: int = 2048
 
     def __post_init__(self) -> None:
-        if self.grid_points < 8:
-            raise ValidationError("grid_points must be at least 8")
+        if not 8 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid_points must lie between 8 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
         if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.picard_tol)):
             raise ValidationError("tolerances must be positive and finite")
         if not 0 < self.ball_radius < math.inf:
@@ -142,6 +149,16 @@ def _step_cap(problem: AbelProblem) -> float:
     return math.inf
 
 
+def _abel_rhs(problem: AbelProblem):
+    """The right-hand side (f(t) x + g(t)) x^2, for a scalar or vector state."""
+    f_ev, g_ev = problem.evaluators()
+
+    def rhs(t, y):
+        return (f_ev(t) * y + g_ev(t)) * y * y
+
+    return rhs
+
+
 def _solve_abel(
     problem: AbelProblem, rhos: np.ndarray, config: SolverConfig, *, dense: bool
 ):
@@ -165,11 +182,6 @@ def _solve_abel(
                 f"{bound:.6g}; contraction guarantees do not apply",
                 stacklevel=3,
             )
-    f_ev, g_ev = problem.evaluators()
-
-    def rhs(t, y):
-        return (f_ev(t) * y + g_ev(t)) * y * y
-
     escape = 10.0 * config.ball_radius
 
     def guard(t, y):
@@ -181,13 +193,11 @@ def _solve_abel(
             )
 
     return solve_dense(
-        rhs,
+        _abel_rhs(problem),
         -a,
         rhos,
         a,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_steps=config.max_steps,
+        config,
         max_step=_step_cap(problem),
         dense=dense,
         per_component=True,
@@ -214,14 +224,6 @@ def integrate_abel(
     return Trajectory(nodes=nodes, values=values, order=DENSE_ORDER)
 
 
-def _return_maps(
-    problem: AbelProblem, rhos: np.ndarray, config: SolverConfig
-) -> np.ndarray:
-    """x(a) for every initial value in ``rhos`` from one endpoint-only solve."""
-    _, _, y_end = _solve_abel(problem, rhos, config, dense=False)
-    return y_end
-
-
 def return_map(
     problem: AbelProblem, rho: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> float:
@@ -231,7 +233,8 @@ def return_map(
     both coefficients are exact trig polynomials of top degree d, the step
     is capped at pi / d.
     """
-    return float(_return_maps(problem, np.array([float(rho)]), config)[0])
+    _, _, y_end = _solve_abel(problem, np.array([float(rho)]), config, dense=False)
+    return float(y_end[0])
 
 
 class ScanClassification(enum.Enum):
@@ -319,7 +322,7 @@ def displacement_scan(
         raise ValidationError("rho grid must be nonempty")
     if np.any(rhos <= 0):
         raise ValidationError("rho grid entries must be positive")
-    returns = _return_maps(problem, rhos, config)
+    _, _, returns = _solve_abel(problem, rhos, config, dense=False)
     ds = returns - rhos
 
     noise_floor = 100.0 * config.abs_tol

@@ -130,29 +130,25 @@ def _trig_from_payload(data, label: str) -> TrigPoly:
 
 def _problem_from_payload(payload: dict) -> AbelProblem:
     family = payload.get("family")
+    default = 0.5 if family == "cos2pit" else 1.0 if family == "poly" else math.pi
+    try:
+        half_width = float(payload.get("half_width", default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad half_width: {exc}") from exc
     if family is not None:
         if "f" not in payload or "g" not in payload:
             raise ValidationError("family payloads need 'f' and 'g' coefficient lists")
         if not isinstance(payload["f"], list) or not isinstance(payload["g"], list):
             raise ValidationError("family coefficients must be lists")
         if family == "cos2pit":
-            return cos2pit_problem(
-                payload["f"], payload["g"], payload.get("half_width", 0.5)
-            )
+            return cos2pit_problem(payload["f"], payload["g"], half_width)
         if family == "poly":
-            return poly_problem(
-                payload["f"], payload["g"], payload.get("half_width", 1.0)
-            )
+            return poly_problem(payload["f"], payload["g"], half_width)
         raise ValidationError(f"unknown family {family!r} (expected cos2pit or poly)")
     if "f" not in payload or "g" not in payload:
         raise ValidationError("scalar payloads need 'f' and 'g'")
     f = _trig_from_payload(payload["f"], "f")
     g = _trig_from_payload(payload["g"], "g")
-    half_width = payload.get("half_width", math.pi)
-    try:
-        half_width = float(half_width)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad half_width: {exc}") from exc
     return AbelProblem(f=f, g=g, half_width=half_width)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .reduction import AbelProblem
-from .trigpoly import Parity
+from .trigpoly import Parity, _parity
 
 __all__ = ["cos2pit_problem", "poly_problem"]
 
@@ -40,18 +40,6 @@ def _parse_coeffs(values: Sequence, label: str) -> list[float]:
         if not math.isfinite(out[-1]):
             raise ValidationError(f"coefficient {v!r} in {label} is not finite")
     return out
-
-
-def _series_parity(constant: float, cos_part: list[float], sin_part: list[float]) -> Parity:
-    has_even = constant != 0.0 or any(cos_part)
-    has_odd = any(sin_part)
-    if not has_even and not has_odd:
-        return Parity.ZERO
-    if not has_even:
-        return Parity.ODD
-    if not has_odd:
-        return Parity.EVEN
-    return Parity.NEITHER
 
 
 def _trig_series_evaluator(coeffs: list[float]):
@@ -85,32 +73,19 @@ def cos2pit_problem(
     fc = _parse_coeffs(f_coeffs, "f")
     gc = _parse_coeffs(g_coeffs, "g")
 
-    def split(c: list[float]):
-        return (c[0] if c else 0.0), c[1::2], c[2::2]
+    def parity(c: list[float]) -> Parity:
+        # the constant and the cosines are even, the sines odd
+        return _parity(any(c[:1]) or any(c[1::2]), any(c[2::2]))
 
-    f0, f_cos, f_sin = split(fc)
-    g0, g_cos, g_sin = split(gc)
     return AbelProblem(
         f=_trig_series_evaluator(fc),
         g=_trig_series_evaluator(gc),
         half_width=float(half_width),
-        f_parity=_series_parity(f0, f_cos, f_sin),
-        g_parity=_series_parity(g0, g_cos, g_sin),
+        f_parity=parity(fc),
+        g_parity=parity(gc),
         f_sup=sum(abs(c) for c in fc),
         g_sup=sum(abs(c) for c in gc),
     )
-
-
-def _poly_parity(coeffs: list[float]) -> Parity:
-    has_even = any(c for i, c in enumerate(coeffs) if i % 2 == 0)
-    has_odd = any(c for i, c in enumerate(coeffs) if i % 2 == 1)
-    if not has_even and not has_odd:
-        return Parity.ZERO
-    if not has_even:
-        return Parity.ODD
-    if not has_odd:
-        return Parity.EVEN
-    return Parity.NEITHER
 
 
 def poly_problem(
@@ -131,8 +106,8 @@ def poly_problem(
         f=ev(fc),
         g=ev(gc),
         half_width=a,
-        f_parity=_poly_parity(fc),
-        g_parity=_poly_parity(gc),
+        f_parity=_parity(any(fc[::2]), any(fc[1::2])),
+        g_parity=_parity(any(gc[::2]), any(gc[1::2])),
         f_sup=sum(abs(c) * a**i for i, c in enumerate(fc)),
         g_sup=sum(abs(c) * a**i for i, c in enumerate(gc)),
     )

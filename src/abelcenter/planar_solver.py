@@ -13,8 +13,9 @@ Provides three views of the same orbit near the origin:
   polar solution.
 
 Agreement of all three is the end-to-end validation of the reduction
-chain; each path uses independent code (only the integrator core is
-shared).
+chain; each path integrates its own equation (only the integrator core
+is shared, and the transformed path uses the Abel right-hand side of
+:mod:`abelcenter.abel_solver`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._ivp import solve_dense
-from .abel_solver import DEFAULT_CONFIG, SolverConfig, _csv
+from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _csv
 from .errors import BlowUp, LeftMonotoneRegion, SolverError, ValidationError
 from .reduction import (
-    HomogPoly,
     PlanarSystem,
     abel_from_planar,
     cherkas_forward,
@@ -74,16 +74,6 @@ class PlanarTrajectory:
         return float(math.hypot(self.xs[-1], self.ys[-1]))
 
 
-def _poly_evaluator(p: HomogPoly):
-    n = p.degree
-    terms = [(float(c), n - j, j) for j, c in enumerate(p.coeffs) if c]
-
-    def ev(x: float, y: float) -> float:
-        return sum(c * x**i * y**j for c, i, j in terms)
-
-    return ev
-
-
 def integrate_planar(
     system: PlanarSystem,
     x0: float,
@@ -102,8 +92,8 @@ def integrate_planar(
     r0 = math.hypot(x0, y0)
     if r0 == 0.0:
         raise ValidationError("the initial point must differ from the origin")
-    p_ev = _poly_evaluator(system.P)
-    q_ev = _poly_evaluator(system.Q)
+    p_ev = system.P.eval
+    q_ev = system.Q.eval
     theta0 = math.atan2(y0, x0)
     target = theta0 + _TWO_PI
     escape = 10.0 * max(1.0, r0)
@@ -115,13 +105,7 @@ def integrate_planar(
         r2 = x * x + y * y
         return (dx, dy, (x * dy - y * dx) / r2)
 
-    def angular_speed(state) -> float:
-        x, y, _ = state
-        dx = -y + p_ev(x, y)
-        dy = x + q_ev(x, y)
-        return (x * dy - y * dx) / (x * x + y * y)
-
-    if angular_speed((x0, y0, theta0)) <= 0.0:
+    if rhs(0.0, (x0, y0, theta0))[2] <= 0.0:
         raise LeftMonotoneRegion(
             f"angular speed is not positive at the initial point (r0={r0:.6g})"
         )
@@ -129,11 +113,9 @@ def integrate_planar(
     def guard(t, state):
         x, y, _ = state
         r = math.hypot(x, y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise BlowUp(f"non-finite state at t={t:.6g}")
         if r > escape:
             raise BlowUp(f"orbit escaped r={r:.6g} > {escape:.6g} at t={t:.6g}")
-        if angular_speed(state) <= 0.0:
+        if rhs(t, state)[2] <= 0.0:
             raise LeftMonotoneRegion(
                 f"angular speed dropped to zero at t={t:.6g}, r={r:.6g}"
             )
@@ -143,9 +125,7 @@ def integrate_planar(
         0.0,
         [x0, y0, theta0],
         np.inf,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_steps=config.max_steps,
+        config,
         on_step=guard,
         stop=lambda t, state: state[2] >= target,
     )
@@ -182,7 +162,7 @@ def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
         return (a_ev(theta) * r**n / den,)
 
     def guard(theta, y):
-        if not math.isfinite(y[0]) or y[0] > escape:
+        if y[0] > escape:
             raise BlowUp(f"radius {y[0]:.6g} escaped at theta={theta:.6g}")
 
     solution, _, y_end = solve_dense(
@@ -190,9 +170,7 @@ def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
         0.0,
         [float(r0)],
         _TWO_PI,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_steps=config.max_steps,
+        config,
         dense=dense,
         on_step=guard,
     )
@@ -220,33 +198,16 @@ def crosscheck_cherkas(
     two computations share nothing but the integrator core, so a small
     defect validates the whole change-of-variables chain.
     """
-    if samples < 2:
-        raise ValidationError("need at least two sample angles")
+    if not 2 <= samples <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"samples must lie between 2 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
     problem = abel_from_planar(system)
     B = problem.origin.B
     n = system.n
     r_dense, _ = _polar_solution(n, problem.origin.A, B, r0, config)
     gamma0 = cherkas_forward(r0, 0.0, B, n)
-    f_ev, g_ev = problem.evaluators()
-
-    def rhs(theta, y):
-        gamma = y[0]
-        return ((f_ev(theta) * gamma + g_ev(theta)) * gamma * gamma,)
-
-    def guard(theta, y):
-        if not math.isfinite(y[0]):
-            raise BlowUp(f"transformed variable diverged at theta={theta:.6g}")
-
-    g_dense, _, _ = solve_dense(
-        rhs,
-        0.0,
-        [gamma0],
-        _TWO_PI,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_steps=config.max_steps,
-        on_step=guard,
-    )
+    g_dense, _, _ = solve_dense(_abel_rhs(problem), 0.0, [gamma0], _TWO_PI, config)
     thetas = np.linspace(0.0, _TWO_PI, samples)
     r_direct = r_dense(thetas)[0]
     gammas = g_dense(thetas)[0]

@@ -26,6 +26,7 @@ pointwise change-of-variable maps, which are plain floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,13 +111,14 @@ class HomogPoly:
             raise ValidationError("cannot add homogeneous polynomials of unequal degree")
         return HomogPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def eval(self, x: float, y: float) -> float:
+    @functools.cached_property
+    def _float_terms(self) -> tuple[tuple[float, int, int], ...]:
         n = self.degree
-        total = 0.0
-        for j, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * x ** (n - j) * y**j
-        return total
+        return tuple((float(c), n - j, j) for j, c in enumerate(self.coeffs) if c)
+
+    def eval(self, x: float, y: float) -> float:
+        """p(x, y) in floats; ``x`` and ``y`` may also be complex."""
+        return sum((c * x**i * y**j for c, i, j in self._float_terms), 0.0)
 
     def to_json_list(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -149,11 +151,13 @@ class PlanarSystem:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlanarSystem":
         try:
-            n = int(data["n"])
+            n = data["n"]
             P = HomogPoly.from_json_list(data["P"])
             Q = HomogPoly.from_json_list(data["Q"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed planar system payload: {exc}") from exc
+        if type(n) is not int:
+            raise ValidationError(f"the degree n must be an integer, got {n!r}")
         return cls(n=n, P=P, Q=Q)
 
 

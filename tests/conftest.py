@@ -9,7 +9,9 @@ the run.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from abelcenter import (
     cos2pit_problem,
     poly_problem,
 )
+
+# the corpus generator of scripts/run_center_corpus.py is the one this suite uses
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+from run_center_corpus import make_system as make_parity_system  # noqa: E402
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None
@@ -120,24 +127,6 @@ def cos2pit_even_problem():
 
 # ----------------------------------------------------------------------
 # random corpora (deterministic seeds)
-
-
-def make_parity_system(rng: np.random.Generator) -> PlanarSystem:
-    """Random monomial system whose circle functions have odd/even parity.
-
-    P = a x^N1 y^M1 with M1 odd and Q = b x^N2 y^M2 with M2 even, so
-    P(cos, sin) is odd and Q(cos, sin) is even in the angle.
-    """
-    n = int(rng.choice([2, 4, 6]))
-    m1 = int(rng.choice(np.arange(1, n + 1, 2)))
-    m2 = int(rng.choice(np.arange(0, n + 1, 2)))
-    a = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-    b = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-    return PlanarSystem(
-        n=n,
-        P=HomogPoly.monomial(n, m1, a),
-        Q=HomogPoly.monomial(n, m2, b),
-    )
 
 
 def parity_corpus(count: int, seed: int = 20250817) -> list[PlanarSystem]:

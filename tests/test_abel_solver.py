@@ -154,11 +154,10 @@ def test_dense_solution_evaluates_each_point_on_its_own_segment():
     def rhs(t, y):
         return (-y[0] + math.sin(3.0 * t), y[0] * y[1])
 
-    sol, t_end, _ = solve_dense(
-        rhs, 0.0, [1.0, 0.5], 6.0, rtol=1e-8, atol=1e-10, max_steps=10_000
-    )
-    segments = sol._segments
-    assert t_end == sol.t_end == 6.0 and len(segments) > 5
+    config = SolverConfig(rel_tol=1e-8, abs_tol=1e-10, max_steps=10_000)
+    sol, t_end, _ = solve_dense(rhs, 0.0, [1.0, 0.5], 6.0, config)
+    segments = sol.interpolants
+    assert t_end == sol.t_max == 6.0 and len(segments) > 5
     ends = [seg.t for seg in segments]
     rng = np.random.default_rng(3)
     points = np.concatenate(

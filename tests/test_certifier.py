@@ -24,6 +24,7 @@ from abelcenter import (
     abel_from_planar,
     classify_abel,
     classify_planar,
+    cos2pit_problem,
     moment_conditions,
     poly_problem,
     proportional_to_cube,
@@ -127,6 +128,36 @@ def test_even_coefficients_are_inconclusive(cos2pit_even_problem):
     assert cert.basis is Basis.NONE
     assert cert.evidence["parity_f"] == "even"
     assert cert.evidence["parity_g"] == "even"
+
+
+# cos2pit lists are [c0, cos 2pi t, sin 2pi t, cos 4pi t, ...]; poly lists are powers
+_FAMILY_PARITIES = [
+    (cos2pit_problem, [], Parity.ZERO),
+    (cos2pit_problem, [0.0, -0.0, 0, -0.0], Parity.ZERO),
+    (cos2pit_problem, [1.5], Parity.EVEN),
+    (cos2pit_problem, [0, 2, -0.0, -1], Parity.EVEN),
+    (cos2pit_problem, [-0.0, 0, 3], Parity.ODD),
+    (cos2pit_problem, [0, -0.0, 0, 0, 1], Parity.ODD),
+    (cos2pit_problem, [1, 0, 2], Parity.NEITHER),
+    (cos2pit_problem, [0, 1, 0, 0, -1], Parity.NEITHER),
+    (poly_problem, [], Parity.ZERO),
+    (poly_problem, [-0.0, 0.0, -0.0], Parity.ZERO),
+    (poly_problem, [1], Parity.EVEN),
+    (poly_problem, [0, -0.0, 2], Parity.EVEN),
+    (poly_problem, [-0.0, 1], Parity.ODD),
+    (poly_problem, [0, 1, 0, -3], Parity.ODD),
+    (poly_problem, [1, 1], Parity.NEITHER),
+    (poly_problem, [0, 0, 1, -0.0, 0, 1], Parity.NEITHER),
+]
+
+
+@pytest.mark.parametrize("build,coeffs,parity", _FAMILY_PARITIES)
+def test_family_parities_are_read_off_the_coefficients(build, coeffs, parity):
+    mixed = [1, 1, 1]  # neither even nor odd in both families
+    problem = build(coeffs, mixed)
+    assert (problem.f_parity, problem.g_parity) == (parity, Parity.NEITHER)
+    problem = build(mixed, coeffs)
+    assert (problem.f_parity, problem.g_parity) == (Parity.NEITHER, parity)
 
 
 def test_zero_coefficients_certify_with_note():

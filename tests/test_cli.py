@@ -286,6 +286,9 @@ def test_bad_rho_grid_flag(tmp_path):
         ("picard", {"picard_tol": -1}),
         ("picard", {"picard_tol": 0}),
         ("certify", {"seed": 3}),
+        # sizes numpy refuses at once, never ones it could allocate
+        ("picard", {"grid_points": 10**15}),
+        ("crosscheck", {"samples": 10**15}),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, config):
@@ -294,6 +297,39 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command, config):
     assert code == 2
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
+
+
+_TRIG = {"f": {"a": ["0", "0"], "b": ["1"]}, "g": {"a": ["0", "0"], "b": ["1"]}}
+
+
+def _family(name: str, half_width) -> dict:
+    return {"family": name, "f": [0, 1], "g": [0, 1], "half_width": half_width}
+
+
+@pytest.mark.parametrize(
+    "kind,command,payload",
+    [
+        ("abel", "certify", _family("cos2pit", "abc")),
+        ("abel", "scan", _family("cos2pit", None)),
+        ("abel", "certify", _family("poly", "abc")),
+        ("abel", "picard", _family("poly", None)),
+        ("abel", "certify", {**_TRIG, "half_width": 10**400}),
+        ("planar", "certify", {**CUBIC_PAYLOAD, "n": 3.7}),
+    ],
+    ids=["cos2pit-str", "cos2pit-null", "poly-str", "poly-null", "trig-huge", "float-n"],
+)
+def test_malformed_payloads_exit_2(tmp_path, capsys, kind, command, payload):
+    spec = {"kind": kind, "command": command, "payload": payload}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trig_half_width_strings_stay_accepted(tmp_path):
+    spec = {"kind": "abel", "command": "certify", "payload": {**_TRIG, "half_width": "3.0"}}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 0 and (out / "certificate.json").exists()
 
 
 @pytest.mark.parametrize("flags", [("--rel-tol", "nan"), ("--rho-grid", "0.01,nan")])

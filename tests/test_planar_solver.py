@@ -15,11 +15,12 @@ from abelcenter import (
     PlanarSystem,
     ValidationError,
     crosscheck_cherkas,
+    displacement_scan,
     integrate_planar,
     planar_trajectory_to_csv,
     polar_return_map,
 )
-from abelcenter import planar_solver, reduction
+from abelcenter import _ivp, planar_solver, reduction
 from abelcenter.planar_solver import _polar_solution
 from abelcenter.reduction import compute_AB
 from conftest import make_zero_radial, parity_corpus
@@ -183,6 +184,41 @@ def test_blowup_in_cartesian_route():
 def test_blowup_in_polar_route():
     with pytest.raises(BlowUp):
         polar_return_map(cubic_identity_system(), 1.5)
+
+
+class _NaNStep:
+    """Leaves a NaN state after every step, as an overflowing step would."""
+
+    def _step_impl(self):
+        result = super()._step_impl()
+        self.y = np.full_like(self.y, np.nan)
+        return result
+
+
+@pytest.fixture
+def nan_steps(monkeypatch):
+    monkeypatch.setattr(_ivp, "DOP853", type("NaNDOP853", (_NaNStep, DOP853), {}))
+    max_norm = type("NaNMaxNormDOP853", (_NaNStep, _ivp.MaxNormDOP853), {})
+    monkeypatch.setattr(_ivp, "MaxNormDOP853", max_norm)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda system: crosscheck_cherkas(system, 0.05),
+        lambda system: polar_return_map(system, 0.05),
+        lambda system: integrate_planar(system, 0.05, 0.0),
+    ],
+    ids=["crosscheck", "polar", "cartesian"],
+)
+def test_non_finite_state_raises_blowup(nan_steps, cubic_system, solve):
+    with pytest.raises(BlowUp, match="non-finite state at t="):
+        solve(cubic_system)
+
+
+def test_scan_guard_names_the_rho_before_the_core_check(nan_steps, cubic_problem):
+    with pytest.raises(BlowUp, match=r"rho=0\.01$"):
+        displacement_scan(cubic_problem, [0.02, 0.01])
 
 
 def test_origin_start_is_rejected(cubic_system):
