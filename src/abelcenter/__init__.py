@@ -11,127 +11,16 @@ free-standing scalar equations x' = f(t) x^3 + g(t) x^2 on a symmetric
 interval, to which every planar system reduces exactly.
 """
 
-from .abel_solver import (
-    DisplacementReport,
-    OperatorBoundReport,
-    ScanClassification,
-    SolverConfig,
-    Trajectory,
-    default_rho_grid,
-    displacement_scan,
-    evenness_defect,
-    integrate_abel,
-    operator_bound_check,
-    picard_fixed_point,
-    picard_operator,
-    report_to_csv,
-    return_map,
-    rho_admissible_bound,
-    trajectory_to_csv,
-)
-from .certifier import (
-    Basis,
-    Certificate,
-    MomentReport,
-    Verdict,
-    classify_abel,
-    classify_planar,
-    moment_conditions,
-    wronskian_cube_ratio,
-)
-from .families import cos2pit_problem, poly_problem
-from .planar_solver import (
-    PlanarTrajectory,
-    crosscheck_cherkas,
-    integrate_planar,
-    planar_trajectory_to_csv,
-    polar_return_map,
-)
-from .reduction import (
-    AbelProblem,
-    HomogPoly,
-    PlanarReduction,
-    PlanarSystem,
-    abel_from_planar,
-    cherkas_forward,
-    cherkas_inverse,
-    compute_AB,
-    homog_to_trig,
-)
-from .trigpoly import Parity, TrigPoly, proportional_to_cube
 from . import errors
-from .errors import (
-    AbelCenterError,
-    BlowUp,
-    DenominatorTooSmall,
-    LeftMonotoneRegion,
-    MaxStepsExceeded,
-    NoConvergence,
-    NotContractive,
-    OutsideMonotoneRegion,
-    OutsideTransformImage,
-    SolverError,
-    StepUnderflow,
-    ValidationError,
-)
+from .abel_solver import *
+from .certifier import *
+from .errors import *
+from .families import *
+from .planar_solver import *
+from .reduction import *
+from .trigpoly import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelCenterError",
-    "AbelProblem",
-    "Basis",
-    "BlowUp",
-    "Certificate",
-    "DenominatorTooSmall",
-    "DisplacementReport",
-    "HomogPoly",
-    "LeftMonotoneRegion",
-    "MaxStepsExceeded",
-    "MomentReport",
-    "NoConvergence",
-    "NotContractive",
-    "OperatorBoundReport",
-    "OutsideMonotoneRegion",
-    "OutsideTransformImage",
-    "Parity",
-    "PlanarReduction",
-    "PlanarSystem",
-    "PlanarTrajectory",
-    "ScanClassification",
-    "SolverConfig",
-    "SolverError",
-    "StepUnderflow",
-    "Trajectory",
-    "TrigPoly",
-    "ValidationError",
-    "Verdict",
-    "abel_from_planar",
-    "cherkas_forward",
-    "cherkas_inverse",
-    "classify_abel",
-    "classify_planar",
-    "compute_AB",
-    "cos2pit_problem",
-    "crosscheck_cherkas",
-    "default_rho_grid",
-    "displacement_scan",
-    "errors",
-    "evenness_defect",
-    "homog_to_trig",
-    "integrate_abel",
-    "integrate_planar",
-    "moment_conditions",
-    "operator_bound_check",
-    "picard_fixed_point",
-    "picard_operator",
-    "planar_trajectory_to_csv",
-    "polar_return_map",
-    "poly_problem",
-    "proportional_to_cube",
-    "report_to_csv",
-    "return_map",
-    "rho_admissible_bound",
-    "trajectory_to_csv",
-    "wronskian_cube_ratio",
-]
+__all__ = ["errors", *abel_solver.__all__, *certifier.__all__, *errors.__all__,
+           *families.__all__, *planar_solver.__all__, *reduction.__all__, *trigpoly.__all__]

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -84,6 +86,12 @@ class SolverConfig:
     grid_points: int = 2048
 
     def __post_init__(self) -> None:
+        counts = (self.max_steps, self.picard_max_iter, self.grid_points)
+        reals = (self.rel_tol, self.abs_tol, self.picard_tol, self.ball_radius)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ValidationError("max_steps, picard_max_iter and grid_points must be integers")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in reals):
+            raise ValidationError("tolerances and ball_radius must be real numbers")
         if not 8 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid_points must lie between 8 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
@@ -486,16 +494,12 @@ def operator_bound_check(
     base_freq = math.pi / a
 
     def random_input() -> Trajectory:
-        k_max = 6
-        c = rng.uniform(-1.0, 1.0, size=k_max + 1)
-        d = rng.uniform(-1.0, 1.0, size=k_max)
-        l1 = float(np.sum(np.abs(c)) + np.sum(np.abs(d)))
-        scale = rng.uniform(0.0, M) / l1
-        vals = np.full_like(nodes, c[0])
-        for k in range(1, k_max + 1):
-            vals += c[k] * np.cos(k * base_freq * nodes)
-            vals += d[k - 1] * np.sin(k * base_freq * nodes)
-        return Trajectory(nodes=nodes, values=scale * vals, order=0)
+        c = rng.uniform(-1.0, 1.0, size=7)
+        d = rng.uniform(-1.0, 1.0, size=6)
+        series = TrigPoly(tuple(map(Fraction, c)), (0, *map(Fraction, d)))
+        scale = rng.uniform(0.0, M) / series.linf_bound()
+        values = scale * series.eval_array(base_freq * nodes)
+        return Trajectory(nodes=nodes, values=values, order=0)
 
     inputs = [random_input() for _ in range(sample_count)]
     images = [picard_operator(problem, rho, x, config) for x in inputs]

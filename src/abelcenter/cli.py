@@ -41,7 +41,7 @@ from pathlib import Path
 from . import abel_solver, certifier, planar_solver
 from .abel_solver import SolverConfig
 from .errors import SolverError, ValidationError
-from .families import cos2pit_problem, poly_problem
+from .families import _half_width, cos2pit_problem, poly_problem
 from .reduction import AbelProblem, PlanarSystem, abel_from_planar
 from .trigpoly import TrigPoly
 
@@ -131,10 +131,7 @@ def _trig_from_payload(data, label: str) -> TrigPoly:
 def _problem_from_payload(payload: dict) -> AbelProblem:
     family = payload.get("family")
     default = 0.5 if family == "cos2pit" else 1.0 if family == "poly" else math.pi
-    try:
-        half_width = float(payload.get("half_width", default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad half_width: {exc}") from exc
+    half_width = _half_width(payload.get("half_width", default))
     if family is not None:
         if "f" not in payload or "g" not in payload:
             raise ValidationError("family payloads need 'f' and 'g' coefficient lists")

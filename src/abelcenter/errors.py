@@ -6,6 +6,12 @@ errors signal numeric failures discovered mid-computation; they carry
 enough context in the message to diagnose the run that produced them.
 """
 
+__all__ = [
+    "AbelCenterError", "ValidationError", "SolverError", "BlowUp", "StepUnderflow",
+    "MaxStepsExceeded", "DenominatorTooSmall", "NotContractive", "NoConvergence",
+    "OutsideMonotoneRegion", "OutsideTransformImage", "LeftMonotoneRegion",
+]
+
 
 class AbelCenterError(Exception):
     """Base class for every error raised by this package."""

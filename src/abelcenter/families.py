@@ -9,10 +9,13 @@ needing an expression parser:
 * ``poly`` — ordinary polynomials c0 + c1 t + c2 t^2 + ... (default
   interval [-1, 1]).
 
-In both cases the parity of the function and an exact sup-norm bound
-are read straight off the coefficient list, so the resulting
-:class:`~abelcenter.reduction.AbelProblem` arrives fully declared and
-the certification layer can spot-check the declarations numerically.
+The cos2pit series are held as exact :class:`~abelcenter.trigpoly.TrigPoly`
+instances in s = 2 pi t, so their parity and sup-norm bound come from
+``parity()`` and ``linf_bound()`` and every evaluation goes through
+``trigpoly``; the poly family reads them off the coefficient list.  Either
+way the resulting :class:`~abelcenter.reduction.AbelProblem` arrives fully
+declared and the certification layer can spot-check the declarations
+numerically.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .reduction import AbelProblem
-from .trigpoly import Parity, _parity
+from .trigpoly import TrigPoly, _parity
 
 __all__ = ["cos2pit_problem", "poly_problem"]
+
+_TWO_PI = 2.0 * math.pi
 
 
 def _parse_coeffs(values: Sequence, label: str) -> list[float]:
@@ -35,30 +40,39 @@ def _parse_coeffs(values: Sequence, label: str) -> list[float]:
     for v in values:
         try:
             out.append(float(Fraction(v)) if isinstance(v, str) else float(v))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise ValidationError(f"bad coefficient {v!r} in {label}: {exc}") from exc
         if not math.isfinite(out[-1]):
             raise ValidationError(f"coefficient {v!r} in {label} is not finite")
     return out
 
 
-def _trig_series_evaluator(coeffs: list[float]):
-    terms = [
-        (c, (i + 1) // 2, i % 2 == 1)
-        for i, c in enumerate(coeffs)
-        if i > 0 and c != 0.0
-    ]
-    constant = coeffs[0] if coeffs else 0.0
+def _half_width(value) -> float:
+    """``value`` as a float, or :class:`ValidationError` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad half_width {value!r}: {exc}") from exc
 
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, constant)
-        for c, k, is_cos in terms:
-            w = 2.0 * math.pi * k
-            out += c * (np.cos(w * t) if is_cos else np.sin(w * t))
-        return out if out.shape else float(out)
 
-    return ev
+def _series_in_2pi_t(values: Sequence, label: str):
+    """``[c0, c1, c2, c3, ...]`` as the exact series c0 + c1 cos(s) + c2 sin(s) +
+    c3 cos(2s) + ... in s = 2 pi t, and as a function of t for scalars and arrays.
+
+    The parsed floats are dyadic rationals, so each ``Fraction`` is exact
+    and evaluation sees the same coefficient floats.
+    """
+    c = [Fraction(v) for v in _parse_coeffs(values, label)]
+    series = TrigPoly((*c[:1], *c[1::2]), (0, *c[2::2]))
+
+    scalar = series.scalar_evaluator()
+
+    def of_t(t):
+        if isinstance(t, float):
+            return scalar(_TWO_PI * t)
+        return series.eval_array(_TWO_PI * np.asarray(t, dtype=float))
+
+    return series, of_t
 
 
 def cos2pit_problem(
@@ -69,22 +83,24 @@ def cos2pit_problem(
     Coefficient lists alternate cosine/sine after the constant:
     ``[c0, c1, c2, c3, c4]`` means
     c0 + c1 cos(2 pi t) + c2 sin(2 pi t) + c3 cos(4 pi t) + c4 sin(4 pi t).
+    With s = 2 pi t, f = sin(s) below is odd and g = 1 + cos(s)/2 is even:
+
+    >>> problem = cos2pit_problem([0, 0, 1], [1, "1/2"])
+    >>> problem.f_parity, problem.g_parity
+    (<Parity.ODD: 'odd'>, <Parity.EVEN: 'even'>)
+    >>> problem.f(0.25), problem.g(0.5)  # sin(pi/2), 1 + cos(pi)/2
+    (1.0, 0.5)
     """
-    fc = _parse_coeffs(f_coeffs, "f")
-    gc = _parse_coeffs(g_coeffs, "g")
-
-    def parity(c: list[float]) -> Parity:
-        # the constant and the cosines are even, the sines odd
-        return _parity(any(c[:1]) or any(c[1::2]), any(c[2::2]))
-
+    f, f_of_t = _series_in_2pi_t(f_coeffs, "f")
+    g, g_of_t = _series_in_2pi_t(g_coeffs, "g")
     return AbelProblem(
-        f=_trig_series_evaluator(fc),
-        g=_trig_series_evaluator(gc),
-        half_width=float(half_width),
-        f_parity=parity(fc),
-        g_parity=parity(gc),
-        f_sup=sum(abs(c) for c in fc),
-        g_sup=sum(abs(c) for c in gc),
+        f=f_of_t,
+        g=g_of_t,
+        half_width=_half_width(half_width),
+        f_parity=f.parity(),
+        g_parity=g.parity(),
+        f_sup=f.linf_bound(),
+        g_sup=g.linf_bound(),
     )
 
 
@@ -94,7 +110,7 @@ def poly_problem(
     """Scalar problem with polynomial coefficients sum_i c_i t^i."""
     fc = _parse_coeffs(f_coeffs, "f")
     gc = _parse_coeffs(g_coeffs, "g")
-    a = float(half_width)
+    a = _half_width(half_width)
 
     def ev(coeffs: list[float]):
         arr = np.asarray(coeffs if coeffs else [0.0])

@@ -280,22 +280,7 @@ def _coefficient_values(coef: Coefficient, ts: np.ndarray) -> np.ndarray:
 
 def _scalar_evaluator(coef: Coefficient) -> Callable[[float], float]:
     if isinstance(coef, TrigPoly):
-        # cos(kt), sin(kt) by angle addition from one cos/sin pair, in
-        # plain floats: tiny numpy arrays cost more than the arithmetic
-        a0 = float(coef.cos[0])
-        pairs = [(float(c), float(s)) for c, s in zip(coef.cos[1:], coef.sin[1:])]
-
-        def ev(t: float) -> float:
-            c1 = math.cos(t)
-            s1 = math.sin(t)
-            ck, sk = c1, s1
-            total = a0
-            for a, b in pairs:
-                total += a * ck + b * sk
-                ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
-            return total
-
-        return ev
+        return coef.scalar_evaluator()
     return lambda t: float(coef(t))
 
 

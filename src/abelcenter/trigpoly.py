@@ -21,10 +21,11 @@ appear only at the boundary: one per output coefficient.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -233,29 +234,47 @@ class TrigPoly:
         x, den = _scaled(self.cos + self.sin)
         return sum(map(abs, x)) / den  # int / int rounds correctly, as float(Fraction) does
 
+    @functools.cached_property
+    def _floats(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Cosine and sine rows as floats, converted once per instance."""
+        return tuple(map(float, self.cos)), tuple(map(float, self.sin))
+
     def eval(self, t: float) -> float:
-        """Evaluate at a single point in floating point."""
-        total = float(self.cos[0])
-        for k in range(1, len(self.cos)):
-            if self.cos[k]:
-                total += float(self.cos[k]) * math.cos(k * t)
-            if self.sin[k]:
-                total += float(self.sin[k]) * math.sin(k * t)
+        """Evaluate at a single point, one ``cos``/``sin`` call per term."""
+        a, b = self._floats
+        total = a[0]
+        for k in range(1, len(a)):
+            if a[k]:
+                total += a[k] * math.cos(k * t)
+            if b[k]:
+                total += b[k] * math.sin(k * t)
         return total
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of points."""
         ts = np.asarray(ts, dtype=float)
-        a, b = self.float_coeffs()
-        k = np.arange(len(a))
-        angles = np.multiply.outer(ts, k)
+        a, b = self._floats
+        angles = np.multiply.outer(ts, np.arange(len(a)))
         return np.cos(angles) @ a + np.sin(angles) @ b
 
-    def float_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients as float arrays (cosine row, sine row)."""
-        a = np.array([float(c) for c in self.cos])
-        b = np.array([float(s) for s in self.sin])
-        return a, b
+    def scalar_evaluator(self) -> Callable[[float], float]:
+        """A scalar evaluator for hot loops: cos(kt) and sin(kt) by angle addition
+        from one cos/sin pair, in plain floats (tiny numpy arrays cost more
+        than the arithmetic).  Agrees with :meth:`eval` up to rounding."""
+        a, b = self._floats
+        a0, pairs = a[0], tuple(zip(a[1:], b[1:]))
+
+        def ev(t: float) -> float:
+            c1 = math.cos(t)
+            s1 = math.sin(t)
+            ck, sk = c1, s1
+            total = a0
+            for ak, bk in pairs:
+                total += ak * ck + bk * sk
+                ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
+            return total
+
+        return ev
 
     # ------------------------------------------------------------------
     # serialization / display

@@ -534,6 +534,10 @@ def test_config_validation():
         SolverConfig(rel_tol=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(ball_radius=-1.0)
+    for bad in ({"grid_points": 8.5}, {"max_steps": 2.5}, {"picard_max_iter": 3.5},
+                {"max_steps": True}, {"rel_tol": "1e-10"}):
+        with pytest.raises(ValidationError):
+            SolverConfig(**bad)
 
 
 def test_trajectory_validation():

@@ -160,6 +160,37 @@ def test_family_parities_are_read_off_the_coefficients(build, coeffs, parity):
     assert (problem.f_parity, problem.g_parity) == (Parity.NEITHER, parity)
 
 
+def _cos2pit_series(coeffs) -> TrigPoly:
+    """[c0, c1, c2, c3, ...] as c0 + c1 cos(s) + c2 sin(s) + c3 cos(2s) + ..."""
+    series = TrigPoly.zero()
+    for i, v in enumerate(coeffs):
+        k, c = (i + 1) // 2, Fraction(float(v))
+        series += TrigPoly.sine(k, c) if i and i % 2 == 0 else TrigPoly.cosine(k, c)
+    return series
+
+
+@pytest.mark.parametrize(
+    "coeffs", [c for build, c, _ in _FAMILY_PARITIES if build is cos2pit_problem]
+)
+def test_cos2pit_paths_match_the_exact_series_in_2pi_t(coeffs):
+    series = _cos2pit_series(coeffs)
+    problem = cos2pit_problem(coeffs, [])
+    ts = np.linspace(-0.5, 0.5, 41)
+    want = np.array([series.eval(2.0 * math.pi * t) for t in ts])
+    tol = 1e-15 * series.linf_bound()
+    assert np.max(np.abs(problem.f_values(ts) - want)) <= tol
+    f_ev, _ = problem.evaluators()
+    assert max(abs(f_ev(t) - w) for t, w in zip(ts.tolist(), want)) <= tol
+    assert problem.f_sup == series.linf_bound()
+
+
+@pytest.mark.parametrize("build", [cos2pit_problem, poly_problem])
+@pytest.mark.parametrize("half_width", ["abc", None, pytest.param(10**400, id="10**400")])
+def test_family_half_width_must_be_a_number(build, half_width):
+    with pytest.raises(ValidationError, match="half_width"):
+        build([0, 1], [0, 1], half_width)
+
+
 def test_zero_coefficients_certify_with_note():
     cert = classify_abel(AbelProblem(f=TrigPoly.zero(), g=TrigPoly.zero()))
     assert cert.verdict is Verdict.CERTIFIED_CENTER

@@ -314,9 +314,11 @@ def _family(name: str, half_width) -> dict:
         ("abel", "certify", _family("poly", "abc")),
         ("abel", "picard", _family("poly", None)),
         ("abel", "certify", {**_TRIG, "half_width": 10**400}),
+        ("abel", "certify", {"family": "cos2pit", "f": [10**400], "g": [0, 1]}),
         ("planar", "certify", {**CUBIC_PAYLOAD, "n": 3.7}),
     ],
-    ids=["cos2pit-str", "cos2pit-null", "poly-str", "poly-null", "trig-huge", "float-n"],
+    ids=["cos2pit-str", "cos2pit-null", "poly-str", "poly-null", "trig-huge",
+         "family-huge-coeff", "float-n"],
 )
 def test_malformed_payloads_exit_2(tmp_path, capsys, kind, command, payload):
     spec = {"kind": kind, "command": command, "payload": payload}

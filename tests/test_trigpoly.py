@@ -27,9 +27,41 @@ def trigpolys(draw, max_degree: int = 4):
 
 
 def test_doctests():
-    for module in (abelcenter.trigpoly, abelcenter.reduction):
+    for module in (abelcenter.trigpoly, abelcenter.reduction, abelcenter.families):
         failures, tried = doctest.testmod(module)
         assert failures == 0 and tried > 0
+
+
+def test_package_exports_the_union_of_the_module_exports():
+    modules = (abelcenter.abel_solver, abelcenter.certifier, abelcenter.errors,
+               abelcenter.families, abelcenter.planar_solver, abelcenter.reduction,
+               abelcenter.trigpoly)
+    union = {"errors"}.union(*(m.__all__ for m in modules))
+    assert len(abelcenter.__all__) == len(set(abelcenter.__all__)) == len(union)
+    assert set(abelcenter.__all__) == union
+    for name in union - {"errors"}:
+        owner = next(m for m in modules if name in m.__all__)
+        assert getattr(abelcenter, name) is getattr(owner, name)
+    assert abelcenter.errors.__name__ == "abelcenter.errors"
+
+
+def test_fractions_are_converted_to_floats_once(monkeypatch):
+    p = TrigPoly((Fraction(1, 3), Fraction(-2, 7), 0), (0, Fraction(5, 11), Fraction(1, 9)))
+    ts = np.linspace(-1.0, 1.0, 5)
+    scalar_evaluator = abelcenter.reduction._scalar_evaluator
+    p.eval(0.3), p.eval_array(ts), scalar_evaluator(p)(0.3)
+    conversions = []
+    original = Fraction.__float__
+
+    def counting(self):
+        conversions.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    for t in ts.tolist():
+        p.eval(t), scalar_evaluator(p)(t)
+    p.eval_array(ts)
+    assert conversions == []
 
 
 # ----------------------------------------------------------------------
