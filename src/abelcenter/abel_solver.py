@@ -297,6 +297,8 @@ def default_rho_grid(
     bound = rho_admissible_bound(problem, config.ball_radius)
     hi = min(0.08, 0.8 * bound)
     lo = 0.005 if hi > 0.005 else hi / 16.0
+    if not lo > 0:
+        raise ValidationError(f"the admissible radius {bound:.6g} leaves no rho to scan")
     return np.geomspace(lo, hi, 8)
 
 

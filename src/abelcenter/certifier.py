@@ -36,7 +36,7 @@ from .abel_solver import DEFAULT_CONFIG, SolverConfig, integrate_abel
 from .errors import ValidationError
 from .reduction import AbelProblem, PlanarSystem, abel_from_planar
 from .reduction import _coefficient_values
-from .trigpoly import Parity, TrigPoly, _scaled, proportional_to_cube
+from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
 __all__ = [
     "Verdict",
@@ -239,10 +239,9 @@ def _screen_rejects(f: TrigPoly, g: TrigPoly) -> bool:
     """True if exact values at three points t_i prove f'g - fg' is no constant
     multiple of g^3, which would make every h(t_i) g^3(t_j) - h(t_j) g^3(t_i)
     with h = f'g - fg' vanish.  False decides nothing."""
-    (x, _), (y, _) = _scaled(f.cos + f.sin), _scaled(g.cos + g.sin)
-    rows = ((x[: len(f.cos)], x[len(f.cos) :]), (y[: len(g.cos)], y[len(g.cos) :]))
+    rows = ((f.num_cos, f.num_sin), (g.num_cos, g.num_sin))
     values = []  # R h(t_i) and g^3(t_i), each up to a factor common to all points
-    for R, weights in _screen_points(max(len(f.cos), len(g.cos))):
+    for R, weights in _screen_points(max(len(f.num_cos), len(g.num_cos))):
         (F, dF), (G, dG) = (_value_and_slope(weights, c, s) for c, s in rows)
         values.append((R * (dF * G - F * dG), G**3))
     pairs = zip(values, values[1:] + values[:1])

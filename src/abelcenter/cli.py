@@ -124,7 +124,7 @@ def _trig_from_payload(data, label: str) -> TrigPoly:
         raise ValidationError(f"{label} must be an object with 'a' and 'b' lists")
     try:
         return TrigPoly.from_json_dict(data)
-    except (ValidationError, KeyError, TypeError, ValueError) as exc:
+    except (ValidationError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed trig coefficients for {label}: {exc}") from exc
 
 

@@ -203,11 +203,12 @@ def crosscheck_cherkas(
             f"samples must lie between 2 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
         )
     problem = abel_from_planar(system)
+    abel_rhs = _abel_rhs(problem)  # f and g leave the float range before A and B do
     B = problem.origin.B
     n = system.n
     r_dense, _ = _polar_solution(n, problem.origin.A, B, r0, config)
     gamma0 = cherkas_forward(r0, 0.0, B, n)
-    g_dense, _, _ = solve_dense(_abel_rhs(problem), 0.0, [gamma0], _TWO_PI, config)
+    g_dense, _, _ = solve_dense(abel_rhs, 0.0, [gamma0], _TWO_PI, config)
     thetas = np.linspace(0.0, _TWO_PI, samples)
     r_direct = r_dense(thetas)[0]
     gammas = g_dense(thetas)[0]

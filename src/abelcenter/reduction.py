@@ -125,6 +125,8 @@ class HomogPoly:
 
     @classmethod
     def from_json_list(cls, data: list) -> "HomogPoly":
+        if not isinstance(data, list):
+            raise TypeError(f"coefficients must be a list, got {type(data).__name__}")
         return cls(tuple(_frac(v) for v in data))
 
 
@@ -154,7 +156,7 @@ class PlanarSystem:
             n = data["n"]
             P = HomogPoly.from_json_list(data["P"])
             Q = HomogPoly.from_json_list(data["Q"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed planar system payload: {exc}") from exc
         if type(n) is not int:
             raise ValidationError(f"the degree n must be an integer, got {n!r}")
@@ -249,9 +251,9 @@ class AbelProblem:
     def bounds(self) -> tuple[float, float]:
         """Sup-norm bounds (F, G) for the two coefficients."""
         if self.f_sup is None or self.g_sup is None:
-            raise ValidationError(
-                "sampled coefficients need explicit f_sup/g_sup bounds"
-            )
+            raise ValidationError("sampled coefficients need explicit f_sup/g_sup bounds")
+        if not all(map(math.isfinite, (self.f_sup, self.g_sup))):
+            raise ValidationError(f"sup bounds {self.f_sup}, {self.g_sup} are not both finite")
         return float(self.f_sup), float(self.g_sup)
 
     def f_values(self, ts: np.ndarray) -> np.ndarray:
@@ -291,9 +293,9 @@ def abel_from_planar(system: PlanarSystem) -> AbelProblem:
     degree at most 2(n+1) and g = (n-1) A - B' of degree at most n+1.
     """
     A, B = compute_AB(system)
-    m, w = system.n - 1, max(len(A.cos), len(B.cos))
-    x, den = _scaled(sum((r + (0,) * (w - len(r)) for r in (A.cos, A.sin, B.cos, B.sin)), ()))
-    ac, as_, bc, bs = (x[i * w : (i + 1) * w] for i in range(4))
+    m, w, den = system.n - 1, max(len(A.num_cos), len(B.num_cos)), math.lcm(A.den, B.den)
+    a, b = A._over(den, w), B._over(den, w)
+    ac, as_, bc, bs = a[:w], a[w:], b[:w], b[w:]
     cos, sin = _mul_ints(ac, as_, bc, bs)  # numerators of AB over 2 den^2
     f = TrigPoly._from_ints([-m * v for v in cos], [-m * v for v in sin], 2 * den * den)
     # B' has k*bs[k] on cos(kt) and -k*bc[k] on sin(kt)

@@ -4,18 +4,22 @@ A trigonometric polynomial of degree N is
 
     p(t) = a_0 + sum_{k=1}^{N} ( a_k cos(k t) + b_k sin(k t) )
 
-with every coefficient an exact ``fractions.Fraction``.  All ring
-operations (sum, product, derivative) stay in this class, so identities
-such as parity and cube-proportionality can be decided by coefficient
-inspection rather than by floating-point heuristics.  Products are
-expanded through the product-to-sum identities
+with every coefficient exact.  A :class:`TrigPoly` stores integer numerator
+rows over one positive denominator, in lowest terms, and every ring operation
+(sum, product, derivative) works on those integers, so parity and
+cube-proportionality are decided by coefficient inspection rather than by
+floating-point heuristics.  Products use the product-to-sum identities
 
     cos j cos k = (cos(j-k) + cos(j+k)) / 2
     sin j sin k = (cos(j-k) - cos(j+k)) / 2
     sin j cos k = (sin(j-k) + sin(j+k)) / 2
 
-on integer numerators over each operand's lcm denominator, so Fractions
-appear only at the boundary: one per output coefficient.
+on the numerators.  Fractions appear only at the boundary: the inputs, the
+``cos``/``sin`` views and ``mean_value``.
+
+>>> p = TrigPoly((Fraction(1, 2), 0, Fraction(1, 3)), (0, Fraction(-1, 6)))
+>>> p.num_cos, p.num_sin, p.den
+((3, 0, 2), (0, -1, 0), 6)
 """
 
 from __future__ import annotations
@@ -25,17 +29,18 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
+
+from .errors import ValidationError
 
 __all__ = ["Parity", "TrigPoly", "proportional_to_cube"]
 
 RationalLike = Union[Fraction, int, str]
-_ZERO = Fraction(0)
 
 
-def _scaled(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` over their lcm denominator."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -87,15 +92,15 @@ def _parity(has_even: bool, has_odd: bool) -> Parity:
     return Parity.NEITHER if has_odd else Parity.EVEN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrigPoly:
     """Canonical-form trigonometric polynomial.
 
-    ``cos[k]`` multiplies cos(k t) (``cos[0]`` is the constant term) and
-    ``sin[k]`` multiplies sin(k t); ``sin[0]`` is identically zero and is
-    kept only so the two tuples share indexing.  Trailing harmonics whose
-    cosine and sine coefficients are both zero are trimmed, so structural
-    equality of two instances is exactly equality of the functions.
+    ``num_cos[k] / den`` multiplies cos(k t) (k = 0 is the constant term) and
+    ``num_sin[k] / den`` multiplies sin(k t), with ``num_sin[0] == 0``.  The
+    denominator is positive and coprime to the numerators as a whole, and
+    trailing zero harmonics are trimmed, so structural equality is exactly
+    equality of the functions.  ``cos`` and ``sin`` are the rows as Fractions.
 
     >>> p = TrigPoly.cosine(1)
     >>> print(p * p)
@@ -104,46 +109,56 @@ class TrigPoly:
     Fraction(1, 2)
     """
 
-    cos: tuple[Fraction, ...]
-    sin: tuple[Fraction, ...]
+    num_cos: tuple[int, ...]
+    num_sin: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        cos = tuple(_frac(c) for c in self.cos)
-        sin = tuple(_frac(s) for s in self.sin)
-        width = max(len(cos), len(sin), 1)
+    def __init__(self, cos: Sequence[RationalLike], sin: Sequence[RationalLike]) -> None:
+        cos, sin = [_frac(c) for c in cos], [_frac(s) for s in sin]
         if sin and sin[0] != 0:
             raise ValueError("sin(0*t) term must be zero")
-        self._set(cos + (_ZERO,) * (width - len(cos)), sin + (_ZERO,) * (width - len(sin)))
+        w = max(len(cos), len(sin), 1)
+        x, den = _scaled(cos + [0] * (w - len(cos)) + sin + [0] * (w - len(sin)))
+        self._set(x[:w], x[w:], den)
 
-    def _set(self, cos: tuple, sin: tuple) -> "TrigPoly":
-        width = len(cos)
-        while width > 1 and not cos[width - 1] and not sin[width - 1]:
-            width -= 1
-        object.__setattr__(self, "cos", cos[:width])
-        object.__setattr__(self, "sin", sin[:width])
+    def _set(self, cos: Sequence[int], sin: Sequence[int], den: int) -> "TrigPoly":
+        w = len(cos)
+        while w > 1 and not cos[w - 1] and not sin[w - 1]:
+            w -= 1
+        d = math.gcd(den, *cos[:w], *sin[1:w])
+        object.__setattr__(self, "num_cos", tuple(c // d for c in cos[:w]))
+        object.__setattr__(self, "num_sin", (0, *(s // d for s in sin[1:w])))
+        object.__setattr__(self, "den", den // d)
         return self
 
     @classmethod
-    def _make(cls, cos: tuple, sin: tuple) -> "TrigPoly":
-        """For ring results: equal-length Fraction tuples, sin[0] == 0; no re-coercion."""
-        return object.__new__(cls)._set(cos, sin)
+    def _from_ints(cls, cos: Sequence[int], sin: Sequence[int], den: int) -> "TrigPoly":
+        """Coefficients ``cos[k]/den``, ``sin[k]/den`` (equal-length rows, den > 0)."""
+        return object.__new__(cls)._set(cos, sin, den)
 
-    @classmethod
-    def _from_ints(cls, cos: list[int], sin: list[int], den: int) -> "TrigPoly":
-        """Coefficients ``cos[k]/den`` and ``sin[k]/den``; ``sin[0]`` is dropped."""
-        cos = tuple(Fraction(c, den) for c in cos)
-        return cls._make(cos, (_ZERO, *(Fraction(v, den) for v in sin[1:])))
+    def _over(self, den: int, w: int) -> list[int]:
+        """Cosine and sine rows over ``den``, a multiple of ``self.den``, padded to width w."""
+        m, pad = den // self.den, (0,) * (w - len(self.num_cos))
+        return [v * m for v in (*self.num_cos, *pad, *self.num_sin, *pad)]
+
+    @functools.cached_property
+    def cos(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num_cos)
+
+    @functools.cached_property
+    def sin(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.den) for s in self.num_sin)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls) -> "TrigPoly":
-        return cls((Fraction(0),), (Fraction(0),))
+        return cls((0,), (0,))
 
     @classmethod
     def constant(cls, c: RationalLike) -> "TrigPoly":
-        return cls((_frac(c),), (Fraction(0),))
+        return cls((c,), (0,))
 
     @classmethod
     def cosine(cls, k: int = 1, c: RationalLike = 1) -> "TrigPoly":
@@ -164,18 +179,10 @@ class TrigPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.cos) - 1
+        return len(self.num_cos) - 1
 
     def is_zero(self) -> bool:
-        return not any(self.cos) and not any(self.sin)
-
-    def cos_coeff(self, k: int) -> Fraction:
-        """Coefficient of cos(k t), zero beyond the stored degree."""
-        return self.cos[k] if 0 <= k < len(self.cos) else Fraction(0)
-
-    def sin_coeff(self, k: int) -> Fraction:
-        """Coefficient of sin(k t), zero beyond the stored degree."""
-        return self.sin[k] if 1 <= k < len(self.sin) else Fraction(0)
+        return not any(self.num_cos) and not any(self.num_sin)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -183,13 +190,13 @@ class TrigPoly:
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        width = max(len(self.cos), len(other.cos))
-        cos = tuple(self.cos_coeff(k) + other.cos_coeff(k) for k in range(width))
-        sin = tuple(self.sin_coeff(k) + other.sin_coeff(k) for k in range(width))
-        return TrigPoly._make(cos, sin)
+        den, w = math.lcm(self.den, other.den), max(self.degree, other.degree) + 1
+        x = [a + b for a, b in zip(self._over(den, w), other._over(den, w))]
+        return TrigPoly._from_ints(x[:w], x[w:], den)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly._make(tuple(-c for c in self.cos), tuple(-s for s in self.sin))
+        cos, sin = [-c for c in self.num_cos], [-s for s in self.num_sin]
+        return TrigPoly._from_ints(cos, sin, self.den)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
@@ -198,13 +205,11 @@ class TrigPoly:
 
     def __mul__(self, other: Union["TrigPoly", RationalLike]) -> "TrigPoly":
         if not isinstance(other, TrigPoly):
-            c = _frac(other)
-            return TrigPoly._make(tuple(a * c for a in self.cos), tuple(v * c for v in self.sin))
-        n1, n2 = len(self.cos), len(other.cos)
-        x, dx = _scaled(self.cos + self.sin)
-        y, dy = _scaled(other.cos + other.sin)
-        cos, sin = _mul_ints(x[:n1], x[n1:], y[:n2], y[n2:])
-        return TrigPoly._from_ints(cos, sin, 2 * dx * dy)
+            c, w = _frac(other), len(self.num_cos)
+            x = [v * c.numerator for v in self.num_cos + self.num_sin]
+            return TrigPoly._from_ints(x[:w], x[w:], self.den * c.denominator)
+        cos, sin = _mul_ints(self.num_cos, self.num_sin, other.num_cos, other.num_sin)
+        return TrigPoly._from_ints(cos, sin, 2 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -214,30 +219,36 @@ class TrigPoly:
         >>> print(TrigPoly.cosine(4, Fraction(1, 8)).derivative())
         -1/2*sin(4t)
         """
-        cos = tuple(k * v for k, v in enumerate(self.sin))
-        sin = tuple(-k * c for k, c in enumerate(self.cos))
-        return TrigPoly._make(cos, sin)
+        cos = [k * v for k, v in enumerate(self.num_sin)]
+        sin = [-k * c for k, c in enumerate(self.num_cos)]
+        return TrigPoly._from_ints(cos, sin, self.den)
 
     def mean_value(self) -> Fraction:
         """Average over a full period: exactly the constant coefficient."""
-        return self.cos[0]
+        return Fraction(self.num_cos[0], self.den)
 
     # ------------------------------------------------------------------
     # analysis
 
     def parity(self) -> Parity:
         """Parity under t -> -t, decided exactly from the coefficients."""
-        return _parity(any(self.cos), any(self.sin))
+        return _parity(any(self.num_cos), any(self.num_sin))
 
     def linf_bound(self) -> float:
-        """Upper bound for sup |p| : the l1 norm of the coefficients."""
-        x, den = _scaled(self.cos + self.sin)
-        return sum(map(abs, x)) / den  # int / int rounds correctly, as float(Fraction) does
+        """Upper bound for sup |p| : the l1 norm of the coefficients (inf beyond floats)."""
+        try:
+            return (sum(map(abs, self.num_cos)) + sum(map(abs, self.num_sin))) / self.den
+        except OverflowError:
+            return math.inf
 
     @functools.cached_property
     def _floats(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Cosine and sine rows as floats, converted once per instance."""
-        return tuple(map(float, self.cos)), tuple(map(float, self.sin))
+        d = self.den  # int / int rounds correctly, as float(Fraction) does
+        try:
+            return tuple(c / d for c in self.num_cos), tuple(s / d for s in self.num_sin)
+        except OverflowError:
+            raise ValidationError("a coefficient lies beyond the float range") from None
 
     def eval(self, t: float) -> float:
         """Evaluate at a single point, one ``cos``/``sin`` call per term."""
@@ -289,11 +300,9 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPoly":
-        if not isinstance(data, dict) or "a" not in data or "b" not in data:
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in "ab"):
             raise ValueError("trig polynomial JSON must have 'a' and 'b' lists")
-        cos = tuple(_frac(v) for v in data["a"])
-        sin = (Fraction(0),) + tuple(_frac(v) for v in data["b"])
-        return cls(cos, sin)
+        return cls(data["a"], [0, *data["b"]])
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -319,6 +328,7 @@ def proportional_to_cube(h: TrigPoly, g: TrigPoly) -> Fraction | None:
     g3 = g * g * g
     if g3.is_zero():
         return Fraction(0) if h.is_zero() else None
-    k = next(k for k, (c, v) in enumerate(zip(g3.cos, g3.sin)) if c or v)
-    ratio = h.cos_coeff(k) / g3.cos[k] if g3.cos[k] else h.sin_coeff(k) / g3.sin[k]
+    k = next(k for k, (c, v) in enumerate(zip(g3.num_cos, g3.num_sin)) if c or v)
+    hc, hs = (h.cos[k], h.sin[k]) if k <= h.degree else (0, 0)
+    ratio = hc / g3.cos[k] if g3.num_cos[k] else hs / g3.sin[k]
     return ratio if h == g3 * ratio else None

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelcenter import cli
+from abelcenter import PlanarSystem, TrigPoly, abel_from_planar, cli
 from abelcenter.cli import main
 
 CUBIC_PAYLOAD = {"n": 3, "P": ["0", "2", "0", "0"], "Q": ["0", "0", "1", "0"]}
@@ -316,15 +316,87 @@ def _family(name: str, half_width) -> dict:
         ("abel", "certify", {**_TRIG, "half_width": 10**400}),
         ("abel", "certify", {"family": "cos2pit", "f": [10**400], "g": [0, 1]}),
         ("planar", "certify", {**CUBIC_PAYLOAD, "n": 3.7}),
+        ("planar", "certify", {**CUBIC_PAYLOAD, "P": ["1/0", "2", "0", "0"]}),
+        ("abel", "certify", {**_TRIG, "f": {"a": ["1/0"], "b": []}}),
+        ("planar", "certify", {**CUBIC_PAYLOAD, "P": "0200"}),
+        ("abel", "certify", {**_TRIG, "f": {"a": "12", "b": []}}),
     ],
     ids=["cos2pit-str", "cos2pit-null", "poly-str", "poly-null", "trig-huge",
-         "family-huge-coeff", "float-n"],
+         "family-huge-coeff", "float-n", "planar-zero-den", "trig-zero-den",
+         "planar-string-list", "trig-string-list"],
 )
 def test_malformed_payloads_exit_2(tmp_path, capsys, kind, command, payload):
     spec = {"kind": kind, "command": command, "payload": payload}
     code, out = run_cli(tmp_path, spec)
     assert code == 2
     assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BIG_PLANAR = {"n": 2, "P": ["1e155", "0", "0"], "Q": ["0", "1", "0"]}  # f reaches 1e310
+_BIG_TRIG = {**_TRIG, "f": {"a": ["0", "1e400"], "b": ["1"]}}
+
+
+@pytest.mark.parametrize(
+    "kind,command,payload,out_file",
+    [
+        ("planar", "certify", _BIG_PLANAR, "certificate.json"),
+        ("planar", "reduce", _BIG_PLANAR, "reduction.json"),
+        ("abel", "certify", _BIG_TRIG, "certificate.json"),
+    ],
+    ids=["planar-certify", "planar-reduce", "trig-certify"],
+)
+def test_exact_commands_take_coefficients_beyond_floats(tmp_path, kind, command, payload,
+                                                        out_file):
+    code, out = run_cli(tmp_path, {"kind": kind, "command": command, "payload": payload})
+    assert code == 0
+    data = json.loads((out / out_file).read_text())
+    if command == "reduce":
+        f = TrigPoly.from_json_dict(data["f"])
+        assert f == abel_from_planar(PlanarSystem.from_json_dict(payload)).f
+        assert f.linf_bound() == math.inf
+    else:
+        assert data["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "kind,command,payload,config",
+    [
+        ("planar", "scan", _BIG_PLANAR, {}),
+        ("planar", "scan", _BIG_PLANAR, {"rho_grid": [0.01]}),
+        ("planar", "picard", _BIG_PLANAR, {}),
+        ("planar", "picard", _BIG_PLANAR, {"rho": 0.01}),
+        ("planar", "crosscheck", _BIG_PLANAR, {}),
+        ("abel", "scan", _BIG_TRIG, {}),
+        ("abel", "scan", _BIG_TRIG, {"rho_grid": [0.01]}),
+        ("abel", "picard", _BIG_TRIG, {}),
+        ("abel", "picard", _BIG_TRIG, {"rho": 0.01}),
+    ],
+    ids=["planar-scan", "planar-scan-grid", "planar-picard", "planar-picard-rho",
+         "planar-crosscheck", "trig-scan", "trig-scan-grid", "trig-picard", "trig-picard-rho"],
+)
+def test_numeric_commands_reject_coefficients_beyond_floats(tmp_path, capsys, kind, command,
+                                                            payload, config):
+    spec = {"kind": kind, "command": command, "payload": payload, "config": config}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and ("finite" in err or "float range" in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "cos2pit", "f": [0, "1e308"], "g": [0, "1e308"]},
+        {"family": "poly", "f": [0, 1], "g": [0, 1], "half_width": 1e300},
+    ],
+    ids=["cos2pit", "poly"],
+)
+def test_default_grid_at_zero_radius_exits_2(tmp_path, capsys, payload):
+    code, out = run_cli(tmp_path, {"kind": "abel", "command": "scan", "payload": payload})
+    assert code == 2
+    assert "the admissible radius 0 leaves no rho to scan" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -270,6 +270,31 @@ def test_exact_layer_work_counts(monkeypatch):
     assert calls["mul"] == 0
 
 
+def test_reduction_and_screen_build_no_fraction(monkeypatch):
+    """Between exact input and exact verdict the reduction and a rejecting
+    cube-ratio screen work on integer rows only: no Fraction is built."""
+    rng = random.Random(16)
+
+    def dense(n):
+        return HomogPoly(tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                        rng.choice((1, 2, 3, 5, 7))) for _ in range(n + 1)))
+
+    systems = [PlanarSystem(n=n, P=dense(n), Q=dense(n)) for n in range(2, 17)]
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for system in systems:
+        problem = abel_from_planar(system)
+        assert certifier._screen_rejects(problem.f, problem.g)
+        assert certifier.wronskian_cube_ratio(problem.f, problem.g) is None
+    assert built == []
+
+
 # ----------------------------------------------------------------------
 # scalar reduction
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,30 @@ def test_ring_results_are_canonical(p, q, c):
     for r in (p + q, p - q, -p, p * q, p * c, c * p, p.derivative(), p * 0):
         assert r == TrigPoly(r.cos, r.sin)
         assert all(type(v) is Fraction for v in r.cos + r.sin)
+
+
+@given(trigpolys(), trigpolys(), fracs)
+@settings(max_examples=40)
+def test_ring_results_are_integer_rows_in_lowest_terms(p, q, c):
+    for r in (p, p + q, p - q, -p, p * q, p * c, c * p, p.derivative(), p * 0):
+        assert r.den > 0 and math.gcd(r.den, *r.num_cos, *r.num_sin) == 1
+        assert r.num_sin[0] == 0 and len(r.num_cos) == len(r.num_sin)
+        assert r.degree == 0 or r.num_cos[-1] or r.num_sin[-1]
+    same = [p + q - q, TrigPoly(p.cos, p.sin), TrigPoly.from_json_dict(p.to_json_dict())]
+    if c:
+        same.append((p * c) * (1 / c))
+    for r in same:
+        assert r == p and hash(r) == hash(p)
+        assert (r.num_cos, r.num_sin, r.den) == (p.num_cos, p.num_sin, p.den)
+
+
+def test_pickle_round_trip_after_cached_views():
+    p = TrigPoly((Fraction(1, 3), 0, Fraction(-2, 7)), (0, Fraction(5, 11), 0))
+    p.cos, p.sin, p.eval(0.3), p.scalar_evaluator()
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    assert q.cos == p.cos and q.sin == p.sin and q.eval(0.3) == p.eval(0.3)
+    assert q * q == p * p
 
 
 # ----------------------------------------------------------------------
