@@ -387,9 +387,9 @@ def picard_operator(
 ) -> Trajectory:
     """One application of the resolvent operator Omega on the dense grid.
 
-    The inner integral is a cumulative composite-Simpson rule on the
-    trajectory's own nodes.  The denominator is required to stay above
-    1/4 - a deliberate numerical safety margin below the theoretical 1/2
+    f and g are sampled at the trajectory's own nodes, on which the inner
+    integral is a cumulative composite-Simpson rule.  The denominator must stay
+    above 1/4 - a deliberate numerical safety margin below the theoretical 1/2
     threshold - and :class:`DenominatorTooSmall` is raised otherwise.
     """
     _require_grid_match(problem, x)
@@ -431,8 +431,15 @@ def picard_fixed_point(
 
     nodes = np.linspace(-a, a, config.grid_points)
     x = Trajectory(nodes=nodes, values=np.full_like(nodes, float(rho)), order=0)
+    # Omega samples f and g at x.nodes, which stays this grid: sample it once
+    fv, gv = problem.f_values(nodes), problem.g_values(nodes)
+    on_grid = AbelProblem(
+        f=lambda t: fv if t is nodes else problem.f_values(t),
+        g=lambda t: gv if t is nodes else problem.g_values(t),
+        half_width=a,
+    )
     for _ in range(config.picard_max_iter):
-        x_next = picard_operator(problem, rho, x, config)
+        x_next = picard_operator(on_grid, rho, x, config)
         delta = float(np.max(np.abs(x_next.values - x.values)))
         x = x_next
         if delta < config.picard_tol:

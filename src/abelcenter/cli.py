@@ -255,13 +255,13 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
         prob = problem if system is None else abel_from_planar(system)
         if "rho" in spec_config:
             rho = float(spec_config["rho"])
+        elif grid := _rho_grid(spec_config, args):
+            rho = grid[0]
         else:
-            grid = _rho_grid(spec_config, args)
-            rho = (
-                grid[0]
-                if grid
-                else 0.5 * abel_solver.rho_admissible_bound(prob, config.ball_radius)
-            )
+            bound = abel_solver.rho_admissible_bound(prob, config.ball_radius)
+            rho = 0.5 * bound
+            if not rho > 0:
+                raise ValidationError(f"the admissible radius {bound:.6g} leaves no rho")
         fixed = abel_solver.picard_fixed_point(prob, rho, config)
         defect = abel_solver.evenness_defect(fixed)
         _write(out_dir, "picard.csv", abel_solver.trajectory_to_csv(fixed))

@@ -113,10 +113,16 @@ def poly_problem(
     a = _half_width(half_width)
 
     def ev(coeffs: list[float]):
-        arr = np.asarray(coeffs if coeffs else [0.0])
-        return lambda t: np.polynomial.polynomial.polyval(
-            np.asarray(t, dtype=float), arr
-        )
+        top, *rest = (coeffs or [0.0])[::-1]
+
+        def of_t(t):  # polyval's Horner order; a float t stays a plain float
+            t = t if isinstance(t, float) else np.asarray(t, dtype=float)
+            acc = top + t * 0
+            for c in rest:
+                acc = c + acc * t
+            return acc
+
+        return of_t
 
     return AbelProblem(
         f=ev(fc),

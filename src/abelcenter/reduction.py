@@ -114,7 +114,10 @@ class HomogPoly:
     @functools.cached_property
     def _float_terms(self) -> tuple[tuple[float, int, int], ...]:
         n = self.degree
-        return tuple((float(c), n - j, j) for j, c in enumerate(self.coeffs) if c)
+        try:
+            return tuple((float(c), n - j, j) for j, c in enumerate(self.coeffs) if c)
+        except OverflowError:
+            raise ValidationError("a coefficient lies beyond the float range") from None
 
     def eval(self, x: float, y: float) -> float:
         """p(x, y) in floats; ``x`` and ``y`` may also be complex."""
@@ -169,22 +172,31 @@ def _circle_ints(c: list[int]) -> tuple[list[int], list[int]]:
     With z = e^(it), u = z + 1/z and v = z - 1/z, the real Laurent polynomial
     T = sum_j (-1)^(j//2) c_j u^(n-j) v^j has a palindromic even-j part (the
     cosines) and an antipalindromic odd-j part (the sines), so
-    a_k = (T_k + T_-k) / 2^n and b_k = (T_k - T_-k) / 2^n.  T is built by
-    Horner's rule on the integers: O(n^2) int operations.
+    a_k = (T_k + T_-k) / 2^n and b_k = (T_k - T_-k) / 2^n.
+
+    With w = z^2, z^n T = S(w) = sum_j (-1)^(j//2) c_j (w+1)^(n-j) (w-1)^j has
+    degree n, and its coefficient S_k is T_e at e = 2k - n.  S is evaluated
+    at w = X = 2^bits by Horner's rule in one big integer (Kronecker
+    substitution) and read back as n + 1 signed base-X digits in [-X/2, X/2).
+    Every coefficient of (w+1)^(n-j) (w-1)^j is at most 2^n in absolute value,
+    so |S_k| <= 2^n sum|c_j| < X/4 with bits = bitlen(sum|c_j|) + n + 2.
     """
     n = len(c) - 1
-    # index n + 1 + e holds the coefficient of z^e; one zero pad at each end
-    total, vpow = [0] * (2 * n + 3), [0] * (2 * n + 3)
-    total[n + 1], vpow[n + 1] = c[0], 1
+    bits = sum(map(abs, c)).bit_length() + n + 2
+    acc, vpow = c[0], 1  # vpow = (X - 1)^j
     for j in range(1, n + 1):
-        total = [0] + [a + b for a, b in zip(total, total[2:])] + [0]
-        vpow = [0] + [a - b for a, b in zip(vpow, vpow[2:])] + [0]
+        acc += acc << bits
+        vpow = (vpow << bits) - vpow
         if c[j]:
-            cj = -c[j] if j % 4 >= 2 else c[j]
-            total = [t + cj * v for t, v in zip(total, vpow)]
-    pos, neg = total[n + 1 :], total[n + 1 :: -1]
-    cos = [pos[0]] + [a + b for a, b in zip(pos[1:], neg[1:])]
-    return cos, [a - b for a, b in zip(pos, neg)]
+            acc += (-c[j] if j & 2 else c[j]) * vpow
+    cos, sin = [0] * (n + 2), [0] * (n + 2)
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    for e in range(-n, n + 1, 2):
+        d = ((acc + half) & mask) - half
+        acc = (acc - d) >> bits
+        cos[abs(e)] += d
+        sin[abs(e)] += d if e > 0 else -d
+    return cos, [0, *sin[1:]]
 
 
 def homog_to_trig(p: HomogPoly) -> TrigPoly:

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853
 
 from abelcenter import (
@@ -267,6 +270,21 @@ def test_scan_shares_coefficient_evaluations(config):
     assert scan_calls <= calls[0] / 4
 
 
+@given(
+    st.lists(st.floats(-1e3, 1e3), max_size=6),
+    st.floats(-4.0, 4.0),
+)
+@settings(max_examples=200)
+def test_poly_scalar_calls_match_polyval(coeffs, t):
+    problem = poly_problem(coeffs, [])
+    for x in (t, -t, np.float64(t)):
+        want = np.polynomial.polynomial.polyval(np.asarray(x), np.asarray(coeffs or [0.0]))
+        assert float(problem.f(x)).hex() == float(want).hex()
+        assert float(problem.g(x)).hex() == 0.0.hex()
+    ts = np.array([-t, t])
+    assert np.array_equal(problem.f(ts), np.polynomial.polynomial.polyval(ts, coeffs or [0.0]))
+
+
 # ----------------------------------------------------------------------
 # displacement scans
 
@@ -421,6 +439,33 @@ def test_fixed_point_matches_rk_route(cubic_problem, config):
     fixed = picard_fixed_point(cubic_problem, rho, config)
     rk = integrate_abel(cubic_problem, rho, config)
     assert np.max(np.abs(fixed.values - rk.values)) < 1e-8
+
+
+def test_fixed_point_samples_coefficients_once(tt_problem, config):
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(t):
+            calls[name] += 1
+            return fn(t)
+
+        return call
+
+    problem = dataclasses.replace(
+        tt_problem, f=counted("f", tt_problem.f), g=counted("g", tt_problem.g)
+    )
+    fixed = picard_fixed_point(problem, 0.1, config)
+    assert calls == {"f": 1, "g": 1}
+    # the same iterates as applying Omega to the problem itself
+    x, iters = _constant_trajectory(tt_problem, 0.1, config), 0
+    while True:
+        x_next, iters = picard_operator(tt_problem, 0.1, x, config), iters + 1
+        delta = np.max(np.abs(x_next.values - x.values))
+        x = x_next
+        if delta < config.picard_tol:
+            break
+    assert iters > 2
+    assert np.array_equal(fixed.values, x.values)
 
 
 def test_fixed_point_satisfies_equation(t_problem, config):

@@ -400,6 +400,21 @@ def test_default_grid_at_zero_radius_exits_2(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "cos2pit", "f": [0, "1e308"], "g": [0, "1e308"]},
+        {"family": "poly", "f": [0, 1], "g": [0, 1], "half_width": 1e300},
+    ],
+    ids=["cos2pit", "poly"],
+)
+def test_default_picard_rho_at_zero_radius_exits_2(tmp_path, capsys, payload):
+    code, out = run_cli(tmp_path, {"kind": "abel", "command": "picard", "payload": payload})
+    assert code == 2
+    assert "the admissible radius 0 leaves no rho" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trig_half_width_strings_stay_accepted(tmp_path):
     spec = {"kind": "abel", "command": "certify", "payload": {**_TRIG, "half_width": "3.0"}}
     code, out = run_cli(tmp_path, spec)

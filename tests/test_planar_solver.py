@@ -228,6 +228,21 @@ def test_origin_start_is_rejected(cubic_system):
         polar_return_map(cubic_system, -0.1)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda system: integrate_planar(system, 0.05, 0.0),
+        lambda system: polar_return_map(system, 0.05),
+    ],
+    ids=["cartesian", "polar"],
+)
+def test_coefficient_beyond_floats_raises_validation_error(solve):
+    P = HomogPoly.from_json_list(["1e400", "0", "0"])
+    system = PlanarSystem(n=2, P=P, Q=HomogPoly.zero(2))
+    with pytest.raises(ValidationError, match="float range"):
+        solve(system)
+
+
 def test_polar_return_map_builds_no_interpolants(cubic_system, focus_system, config, monkeypatch):
     built = []
     dense_output = DOP853.dense_output

@@ -231,6 +231,60 @@ def test_circle_functions_match_sympy(n):
     assert B == _sympy_trig(c * qc - s * pc, t)
 
 
+def _circle_rows_by_products(c: list[int]) -> tuple[list[int], list[int]]:
+    """Independent oracle for ``_circle_ints``: 2^n sum_j c_j cos^(n-j) sin^j
+    formed as TrigPoly products, padded to the n + 2 columns it returns."""
+    n = len(c) - 1
+    cpow, spow = [TrigPoly.constant(1)], [TrigPoly.constant(1)]
+    for _ in range(n):
+        cpow.append(cpow[-1] * TrigPoly.cosine(1))
+        spow.append(spow[-1] * TrigPoly.sine(1))
+    total = TrigPoly.zero()
+    for j, cj in enumerate(c):
+        total = total + cpow[n - j] * spow[j] * cj
+    total = total * 2**n
+    assert total.den == 1
+    pad = [0] * (n + 2 - len(total.num_cos))
+    return list(total.num_cos) + pad, list(total.num_sin) + pad
+
+
+@given(
+    st.integers(0, 24).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just(0), st.integers(-(10**40), 10**40)),
+            min_size=n + 1,
+            max_size=n + 1,
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_circle_ints_matches_trig_products(c):
+    assert reduction._circle_ints(c) == _circle_rows_by_products(c)
+
+
+def _largest_laurent_coefficient(cos: list[int], sin: list[int]) -> int:
+    """max |T_e| over the Laurent coefficients, T_+-k = (a_k +- b_k) / 2 for k > 0."""
+    return max([abs(cos[0])] + [abs(a + s) // 2 for a, s in zip(cos[1:], sin[1:])]
+               + [abs(a - s) // 2 for a, s in zip(cos[1:], sin[1:])])
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_circle_ints_near_the_digit_bound(n):
+    """Rows whose largest Laurent coefficient comes within 2 sqrt(2n+2) of the
+    X/4 digit bound (one term (w+1)^n of magnitude 2^130 - 1), and all-zero rows."""
+    m = 2**130 - 1
+    assert reduction._circle_ints([0] * (n + 1)) == ([0] * (n + 2), [0] * (n + 2))
+    for v in (m, -m):
+        rows = [[0] * j + [v] + [0] * (n - j) for j in range(n + 1)]
+        rows += [[v] * (n + 1), [v * (-1) ** (j // 2) for j in range(n + 1)]]
+        for c in rows:
+            assert reduction._circle_ints(c) == _circle_rows_by_products(c)
+        quarter = 2 ** (m.bit_length() + n)  # X/4 for rows[0] = [v, 0, ..., 0]
+        top = _largest_laurent_coefficient(*reduction._circle_ints(rows[0]))
+        assert top < quarter
+        assert 4 * (2 * n + 2) * top**2 >= quarter**2
+
+
 def test_exact_layer_work_counts(monkeypatch):
     """Machine-independent guard of the exact layer's cost: one classification
     runs one reduction, which expands two homogeneous polynomials on the
