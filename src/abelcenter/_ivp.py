@@ -13,6 +13,13 @@ the final state switch that off and save the interpolants' extra
 right-hand-side evaluations.  A vector state whose components are
 independent solutions can ask for per-component error control, so that
 each component is held to the tolerances on its own.
+
+scipy is imported on first use, since the exact commands never step an
+ODE and ``scipy.integrate`` takes several times numpy's import time.
+:func:`solve_dense` is bound at import, for the benchmark's tracing to
+wrap; ``DOP853``, ``OdeSolution``, ``MaxNormDOP853`` (tests import it) and
+``DenseSolution`` (tracing wraps its ``__call__``) are bound on the first
+:func:`solve_dense` call or read, keeping any name a test has rebound.
 """
 
 from __future__ import annotations
@@ -21,39 +28,53 @@ import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
 
 from .errors import BlowUp, MaxStepsExceeded, StepUnderflow
 
 if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
+
     from .abel_solver import SolverConfig
 
 # interpolation order of DOP853's local interpolant
 DENSE_ORDER = 7
 
-
-class MaxNormDOP853(DOP853):
-    """DOP853 whose error norm is the worst single component.
-
-    scipy combines the 5th- and 3rd-order estimates e5, e3 of all m
-    components into h |e5|^2 / sqrt(m (|e5|^2 + 0.01 |e3|^2)), so a large
-    e3 in one component damps the estimate for another.  Here the same
-    formula is applied to each component alone and the maximum is taken;
-    for m = 1 this is scipy's norm.
-    """
-
-    def _estimate_error_norm(self, K, h, scale):
-        err5 = np.dot(K.T, self.E5) / scale
-        err3 = np.dot(K.T, self.E3) / scale
-        err5_2 = err5 * err5
-        denom = np.sqrt(err5_2 + 0.01 * (err3 * err3))
-        ratio = np.divide(err5_2, denom, out=np.zeros_like(denom), where=denom > 0)
-        return abs(h) * float(ratio.max())
+_SCIPY_NAMES = ("DOP853", "OdeSolution", "MaxNormDOP853", "DenseSolution")
 
 
-# bench/tracing.py wraps ``DenseSolution.__call__`` under this name to count
-# dense-output points
-DenseSolution = OdeSolution
+def _bind_scipy() -> None:
+    """Bind the names in ``_SCIPY_NAMES`` here, importing scipy once."""
+    if "DenseSolution" in globals():
+        return
+    from scipy.integrate import DOP853, OdeSolution
+
+    class MaxNormDOP853(DOP853):
+        """DOP853 whose error norm is the worst single component.
+
+        scipy combines the 5th- and 3rd-order estimates e5, e3 of all m
+        components into h |e5|^2 / sqrt(m (|e5|^2 + 0.01 |e3|^2)), so a large
+        e3 in one component damps the estimate for another.  Here the same
+        formula is applied to each component alone and the maximum is taken;
+        for m = 1 this is scipy's norm.
+        """
+
+        def _estimate_error_norm(self, K, h, scale):
+            err5 = np.dot(K.T, self.E5) / scale
+            err3 = np.dot(K.T, self.E3) / scale
+            err5_2 = err5 * err5
+            denom = np.sqrt(err5_2 + 0.01 * (err3 * err3))
+            ratio = np.divide(err5_2, denom, out=np.zeros_like(denom), where=denom > 0)
+            return abs(h) * float(ratio.max())
+
+    for name, value in zip(_SCIPY_NAMES, (DOP853, OdeSolution, MaxNormDOP853, OdeSolution)):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    if name in _SCIPY_NAMES:
+        _bind_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def solve_dense(
@@ -85,6 +106,7 @@ def solve_dense(
     after ``on_step`` has seen the initial state: scipy would take a NaN
     first step and never return from it.
     """
+    _bind_scipy()
     method = MaxNormDOP853 if per_component else DOP853
     solver = method(
         rhs, t0, np.asarray(y0, dtype=float), t_bound,

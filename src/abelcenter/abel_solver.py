@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from ._ivp import DENSE_ORDER, solve_dense
 from .errors import (
@@ -392,6 +391,7 @@ def picard_operator(
     above 1/4 - a deliberate numerical safety margin below the theoretical 1/2
     threshold - and :class:`DenominatorTooSmall` is raised otherwise.
     """
+    from scipy.integrate import cumulative_simpson
     _require_grid_match(problem, x)
     t = x.nodes
     integrand = problem.f_values(t) * x.values + problem.g_values(t)

@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .abel_solver import DEFAULT_CONFIG, SolverConfig, integrate_abel
 from .errors import ValidationError
@@ -291,6 +290,7 @@ def moment_conditions(
     are composite-Simpson integrals on its dense grid.  Initial values
     outside the admissible radius inherit the integrator's warning.
     """
+    from scipy.integrate import simpson
     rhos = np.asarray([float(r) for r in rho_grid])
     if rhos.size == 0:
         raise ValidationError("rho grid must be nonempty")

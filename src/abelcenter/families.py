@@ -39,6 +39,8 @@ def _parse_coeffs(values: Sequence, label: str) -> list[float]:
     out = []
     for v in values:
         try:
+            if isinstance(v, bool):
+                raise TypeError("a bool is not a number")
             out.append(float(Fraction(v)) if isinstance(v, str) else float(v))
         except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise ValidationError(f"bad coefficient {v!r} in {label}: {exc}") from exc
@@ -50,9 +52,19 @@ def _parse_coeffs(values: Sequence, label: str) -> list[float]:
 def _half_width(value) -> float:
     """``value`` as a float, or :class:`ValidationError` if it is not a number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad half_width {value!r}: {exc}") from exc
+
+
+def _poly_sup(coeffs: list[float], a: float) -> float:
+    """sum |c_i| a^i, a bound for sup |p| on [-a, a] (inf beyond floats)."""
+    try:
+        return sum(abs(c) * a**i for i, c in enumerate(coeffs) if c)
+    except OverflowError:
+        return math.inf
 
 
 def _series_in_2pi_t(values: Sequence, label: str):
@@ -130,6 +142,6 @@ def poly_problem(
         half_width=a,
         f_parity=_parity(any(fc[::2]), any(fc[1::2])),
         g_parity=_parity(any(gc[::2]), any(gc[1::2])),
-        f_sup=sum(abs(c) * a**i for i, c in enumerate(fc)),
-        g_sup=sum(abs(c) * a**i for i, c in enumerate(gc)),
+        f_sup=_poly_sup(fc, a),
+        g_sup=_poly_sup(gc, a),
     )

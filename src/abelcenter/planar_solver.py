@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._ivp import solve_dense
 from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _csv
@@ -89,6 +88,7 @@ def integrate_planar(
     :class:`LeftMonotoneRegion`; escape beyond 10 * max(1, r0) raises
     :class:`BlowUp`.
     """
+    from scipy.optimize import brentq
     r0 = math.hypot(x0, y0)
     if r0 == 0.0:
         raise ValidationError("the initial point must differ from the origin")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -251,8 +252,10 @@ class AbelProblem:
     origin: PlanarReduction | None = None
 
     def __post_init__(self) -> None:
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ValidationError("half_width must be positive and finite")
+        # below the smallest normal float, a node grid on [-a, a] repeats nodes
+        if not sys.float_info.min <= self.half_width <= sys.float_info.max:
+            raise ValidationError("half_width must be a finite float of at least "
+                                  f"{sys.float_info.min!r}, got {self.half_width!r}")
         if isinstance(self.f, TrigPoly):
             self.f_parity = self.f.parity()
             self.f_sup = self.f.linf_bound()

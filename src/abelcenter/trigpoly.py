@@ -68,9 +68,11 @@ def _mul_ints(xc: list[int], xs: list[int], yc: list[int], ys: list[int]):
 
 
 def _frac(value: RationalLike) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction; not bools."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValidationError(f"expected an exact rational, got the bool {value!r}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, OdeSolution
 
 from abelcenter import (
     BlowUp,
@@ -44,6 +45,7 @@ from abelcenter import (
     rho_admissible_bound,
     trajectory_to_csv,
 )
+from abelcenter import _ivp
 from abelcenter._ivp import MaxNormDOP853, solve_dense
 from conftest import make_zero_radial
 
@@ -182,6 +184,15 @@ def test_dense_solution_evaluates_each_point_on_its_own_segment():
 # one vector solve per scan
 
 
+def test_lazily_bound_solver_names_are_scipys():
+    # bench/tracing.py wraps DenseSolution.__call__, so the alias must be
+    # scipy's class itself, bound on first read like the solver classes
+    assert _ivp.DenseSolution is OdeSolution is _ivp.OdeSolution
+    assert _ivp.DOP853 is DOP853
+    assert issubclass(_ivp.MaxNormDOP853, DOP853) and _ivp.MaxNormDOP853 is MaxNormDOP853
+    assert not hasattr(_ivp, "RK45")
+
+
 def test_max_norm_error_estimate_matches_scipy_for_one_component():
     # MaxNormDOP853 overrides a private scipy method; for a scalar state it
     # must reproduce scipy's own norm
@@ -283,6 +294,20 @@ def test_poly_scalar_calls_match_polyval(coeffs, t):
         assert float(problem.g(x)).hex() == 0.0.hex()
     ts = np.array([-t, t])
     assert np.array_equal(problem.f(ts), np.polynomial.polynomial.polyval(ts, coeffs or [0.0]))
+
+
+def test_poly_sup_bound_beyond_floats_is_inf():
+    # a**2 overflows a float here; a zero coefficient adds nothing to the bound
+    problem = poly_problem(["0", "0", "1"], ["1", "0", "0"], 1e200)
+    assert problem.f_sup == math.inf and problem.g_sup == 1.0
+    with pytest.raises(ValidationError, match="not both finite"):
+        problem.bounds()
+
+
+def test_subnormal_half_width_is_rejected():
+    assert poly_problem([0, 1], [1], sys.float_info.min).half_width == sys.float_info.min
+    with pytest.raises(ValidationError, match="half_width"):
+        poly_problem([0, 1], [1], 1e-320)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -320,10 +322,20 @@ def _family(name: str, half_width) -> dict:
         ("abel", "certify", {**_TRIG, "f": {"a": ["1/0"], "b": []}}),
         ("planar", "certify", {**CUBIC_PAYLOAD, "P": "0200"}),
         ("abel", "certify", {**_TRIG, "f": {"a": "12", "b": []}}),
+        # below the smallest normal float the Picard grid would repeat nodes
+        ("abel", "picard", {**_TRIG, "half_width": 1e-320}),
+        ("abel", "picard", _family("poly", 1e-320)),
+        # a JSON true is not the number 1
+        ("planar", "reduce", {**CUBIC_PAYLOAD, "P": [True, "2", "0", "0"]}),
+        ("abel", "certify", {**_TRIG, "f": {"a": ["0", True], "b": ["1"]}}),
+        ("abel", "certify", {"family": "poly", "f": [0, True], "g": [0, 1]}),
+        ("abel", "certify", _family("cos2pit", True)),
     ],
     ids=["cos2pit-str", "cos2pit-null", "poly-str", "poly-null", "trig-huge",
          "family-huge-coeff", "float-n", "planar-zero-den", "trig-zero-den",
-         "planar-string-list", "trig-string-list"],
+         "planar-string-list", "trig-string-list", "trig-subnormal-width",
+         "poly-subnormal-width", "planar-bool", "trig-bool", "family-bool",
+         "bool-width"],
 )
 def test_malformed_payloads_exit_2(tmp_path, capsys, kind, command, payload):
     spec = {"kind": kind, "command": command, "payload": payload}
@@ -335,6 +347,7 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, kind, command, payload):
 
 _BIG_PLANAR = {"n": 2, "P": ["1e155", "0", "0"], "Q": ["0", "1", "0"]}  # f reaches 1e310
 _BIG_TRIG = {**_TRIG, "f": {"a": ["0", "1e400"], "b": ["1"]}}
+_BIG_POLY = {"family": "poly", "f": ["0", "0", "1"], "g": ["1"], "half_width": 1e200}
 
 
 @pytest.mark.parametrize(
@@ -343,8 +356,9 @@ _BIG_TRIG = {**_TRIG, "f": {"a": ["0", "1e400"], "b": ["1"]}}
         ("planar", "certify", _BIG_PLANAR, "certificate.json"),
         ("planar", "reduce", _BIG_PLANAR, "reduction.json"),
         ("abel", "certify", _BIG_TRIG, "certificate.json"),
+        ("abel", "certify", _BIG_POLY, "certificate.json"),
     ],
-    ids=["planar-certify", "planar-reduce", "trig-certify"],
+    ids=["planar-certify", "planar-reduce", "trig-certify", "poly-certify"],
 )
 def test_exact_commands_take_coefficients_beyond_floats(tmp_path, kind, command, payload,
                                                         out_file):
@@ -371,9 +385,12 @@ def test_exact_commands_take_coefficients_beyond_floats(tmp_path, kind, command,
         ("abel", "scan", _BIG_TRIG, {"rho_grid": [0.01]}),
         ("abel", "picard", _BIG_TRIG, {}),
         ("abel", "picard", _BIG_TRIG, {"rho": 0.01}),
+        ("abel", "scan", _BIG_POLY, {}),
+        ("abel", "picard", _BIG_POLY, {}),
     ],
     ids=["planar-scan", "planar-scan-grid", "planar-picard", "planar-picard-rho",
-         "planar-crosscheck", "trig-scan", "trig-scan-grid", "trig-picard", "trig-picard-rho"],
+         "planar-crosscheck", "trig-scan", "trig-scan-grid", "trig-picard", "trig-picard-rho",
+         "poly-scan", "poly-picard"],
 )
 def test_numeric_commands_reject_coefficients_beyond_floats(tmp_path, capsys, kind, command,
                                                             payload, config):
@@ -519,3 +536,32 @@ def test_module_invocation(tmp_path):
     assert proc.returncode == 0
     assert "certified_center" in proc.stdout
     assert (tmp_path / "out" / "certificate.json").exists()
+
+
+_SCIPY_PROBE = """
+import sys
+from abelcenter.cli import main
+*exact, numeric = sys.argv[1:]
+for spec in exact:
+    assert main(["--spec", spec, "--out", spec + ".out"]) == 0
+print("scipy modules:", sorted(name for name in sys.modules if name.startswith("scipy")))
+assert main(["--spec", numeric, "--out", numeric + ".out"]) == 0
+"""
+
+
+def test_exact_commands_leave_scipy_unimported(tmp_path):
+    jobs = [("planar", "certify", CUBIC_PAYLOAD), ("planar", "reduce", CUBIC_PAYLOAD),
+            ("abel", "certify", _TRIG), ("planar", "scan", CUBIC_PAYLOAD)]
+    specs = []
+    for i, (kind, command, payload) in enumerate(jobs):
+        specs.append(tmp_path / f"job{i}.json")
+        specs[-1].write_text(json.dumps({"kind": kind, "command": command, "payload": payload}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, specs)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy modules: []" in proc.stdout.splitlines()
+    assert (tmp_path / "job3.json.out" / "scan.csv").exists()
