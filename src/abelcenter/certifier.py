@@ -139,24 +139,26 @@ def classify_planar(system: PlanarSystem) -> Certificate:
 def _spot_check_parity(coef, parity: Parity, half_width: float, label: str) -> None:
     """Validate a declared parity at 100 sample points per side (absolute tol 1e-10).
 
+    A sample pair agrees when it matches exactly (equal infinities included)
+    or differs by a finite amount within the tolerance, so a NaN always fails.
     A declaration that fails its own spot check is contradictory input,
     not a certification failure, so this raises instead of downgrading.
     """
+    if parity is Parity.NEITHER:  # carries no checkable claim
+        return
     ts = np.linspace(half_width / 100.0, half_width, 100)
     left = _coefficient_values(coef, -ts)
     right = _coefficient_values(coef, ts)
     if parity is Parity.ODD:
-        defect = np.max(np.abs(left + right))
-    elif parity is Parity.EVEN:
-        defect = np.max(np.abs(left - right))
+        right = -right
     elif parity is Parity.ZERO:
-        defect = max(np.max(np.abs(left)), np.max(np.abs(right)))
-    else:  # NEITHER carries no checkable claim
-        return
-    if defect > 1e-10:
+        left, right = np.concatenate([left, right]), 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, masked where equal
+        defect = np.max(np.where(left == right, 0.0, np.abs(left - right)))
+    if not defect <= 1e-10:
         raise ValidationError(
             f"declared parity '{parity.value}' of {label} fails a sample check "
-            f"(defect {defect:.3e} > 1e-10)"
+            f"(defect {defect:.3e}, not within 1e-10)"
         )
 
 

@@ -15,17 +15,18 @@ strings, coefficient j multiplying x^(n-j) y^j).  Scalar payloads either
 give exact trigonometric coefficients
 ``{"f": {"a": [...], "b": [...]}, "g": {...}, "half_width": 3.14...}``
 (the format ``reduce`` emits, so its output re-ingests directly) or name
-a closed-form family:
+a closed-form family of :mod:`~abelcenter.families`, whose builders set
+the default ``half_width`` and check the coefficient lists:
 ``{"family": "cos2pit", "f": [0, 1], "g": [0, 1], "half_width": 0.5}``.
 
 Config keys mirror the solver configuration (``rel_tol``, ``abs_tol``,
 ``max_steps``, ``picard_tol``, ``picard_max_iter``, ``ball_radius``,
 ``grid_points``) plus command inputs: ``rho_grid`` (scan), ``rho``
 (picard), ``r0`` and ``samples`` (crosscheck).  Values must be finite
-numbers, integers for the counts.  Command-line flags win
-over file config.  Exit status: 0 success, 2 validation failure, 3
-solver failure.  Reports are deterministic: identical job plus config
-produces byte-identical files.
+numbers, integers for the counts.  Command-line flags win over file
+config and are checked by the same rules, whatever the command.  Exit
+status: 0 success, 2 validation failure, 3 solver failure.  Reports are
+deterministic: identical job plus config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _load_jobspec(path: str) -> dict:
+def _load_jobspec(args: argparse.Namespace) -> dict:
+    """The job file ``args.spec`` with the flags merged into its config, all checked."""
     try:
-        text = Path(path).read_text()
+        text = Path(args.spec).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read job spec: {exc}") from exc
     try:
@@ -94,18 +96,22 @@ def _load_jobspec(path: str) -> dict:
         raise ValidationError(f"job spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("job spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind not in _KINDS:
-        raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
-    command = spec.get("command")
-    if command not in _COMMANDS:
-        raise ValidationError(f"command must be one of {_COMMANDS}, got {command!r}")
+    for key, allowed in (("kind", _KINDS), ("command", _COMMANDS)):
+        if spec.get(key) not in allowed:
+            raise ValidationError(f"{key} must be one of {allowed}, got {spec.get(key)!r}")
     payload = spec.get("payload")
     if not isinstance(payload, dict):
         raise ValidationError("payload must be a JSON object")
     config = spec.get("config", {})
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
+    flags = {k: v for k, v in vars(args).items() if k not in ("spec", "out") and v is not None}
+    if "rho_grid" in flags:
+        try:
+            flags["rho_grid"] = [float(v) for v in flags["rho_grid"].split(",") if v.strip()]
+        except ValueError as exc:
+            raise ValidationError(f"bad --rho-grid: {exc}") from exc
+    spec["config"] = config = {**config, **flags}
     unknown = set(config) - _CONFIG_FIELDS - _EXTRA_CONFIG
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -120,54 +126,26 @@ def _load_jobspec(path: str) -> dict:
 
 
 def _trig_from_payload(data, label: str) -> TrigPoly:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{label} must be an object with 'a' and 'b' lists")
     try:
         return TrigPoly.from_json_dict(data)
     except (ValidationError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed trig coefficients for {label}: {exc}") from exc
 
 
+def _trig_problem(f, g, half_width=math.pi) -> AbelProblem:
+    f, g = _trig_from_payload(f, "f"), _trig_from_payload(g, "g")
+    return AbelProblem(f=f, g=g, half_width=_half_width(half_width))
+
+
 def _problem_from_payload(payload: dict) -> AbelProblem:
+    """The scalar problem of an abel payload; each builder applies its own default width."""
     family = payload.get("family")
-    default = 0.5 if family == "cos2pit" else 1.0 if family == "poly" else math.pi
-    half_width = _half_width(payload.get("half_width", default))
-    if family is not None:
-        if "f" not in payload or "g" not in payload:
-            raise ValidationError("family payloads need 'f' and 'g' coefficient lists")
-        if not isinstance(payload["f"], list) or not isinstance(payload["g"], list):
-            raise ValidationError("family coefficients must be lists")
-        if family == "cos2pit":
-            return cos2pit_problem(payload["f"], payload["g"], half_width)
-        if family == "poly":
-            return poly_problem(payload["f"], payload["g"], half_width)
+    if family not in (None, "cos2pit", "poly"):
         raise ValidationError(f"unknown family {family!r} (expected cos2pit or poly)")
-    if "f" not in payload or "g" not in payload:
-        raise ValidationError("scalar payloads need 'f' and 'g'")
-    f = _trig_from_payload(payload["f"], "f")
-    g = _trig_from_payload(payload["g"], "g")
-    return AbelProblem(f=f, g=g, half_width=half_width)
-
-
-def _solver_config(spec_config: dict, args) -> SolverConfig:
-    kwargs = {k: spec_config[k] for k in _CONFIG_FIELDS if k in spec_config}
-    for name in ("rel_tol", "abs_tol", "ball_radius"):
-        if getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    return SolverConfig(**kwargs)
-
-
-def _rho_grid(spec_config: dict, args) -> list[float] | None:
-    if args.rho_grid is not None:
-        try:
-            grid = [float(v) for v in args.rho_grid.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"bad --rho-grid: {exc}") from exc
-        if not all(map(_finite, grid)):
-            raise ValidationError(f"--rho-grid values must be finite, got {grid}")
-        return grid
-    grid = spec_config.get("rho_grid")
-    return None if grid is None else [float(v) for v in grid]
+    # built per call, so a wrapper installed on a module name (bench/tracing.py) is seen
+    build = {None: _trig_problem, "cos2pit": cos2pit_problem, "poly": poly_problem}[family]
+    width = {"half_width": payload["half_width"]} if "half_width" in payload else {}
+    return build(payload.get("f"), payload.get("g"), **width)
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -179,17 +157,17 @@ def _write_json(out_dir: Path, name: str, obj) -> None:
     _write(out_dir, name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def run_job(spec: dict, out_dir: Path, args) -> int:
-    """Execute a validated job spec; returns the process exit status."""
-    kind, command = spec["kind"], spec["command"]
-    config = _solver_config(spec.get("config", {}), args)
-    spec_config = spec.get("config", {})
-
-    if kind == "planar":
-        system = PlanarSystem.from_json_dict(spec["payload"])
-    else:
-        system = None
+def run_job(spec: dict, out_dir: Path) -> int:
+    """Execute a job spec checked by ``_load_jobspec``; returns the process exit status."""
+    kind, command, config = spec["kind"], spec["command"], spec.get("config", {})
+    solver = SolverConfig(**{k: v for k, v in config.items() if k in _CONFIG_FIELDS})
+    if kind == "abel" and command in ("reduce", "crosscheck"):
+        raise ValidationError(f"{command} applies to planar jobs only")
+    system = PlanarSystem.from_json_dict(spec["payload"]) if kind == "planar" else None
+    if system is None:
         problem = _problem_from_payload(spec["payload"])
+    elif command in ("reduce", "scan", "picard"):
+        problem = abel_from_planar(system)
 
     if command == "certify":
         cert = (
@@ -202,10 +180,7 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
         return 0
 
     if command == "reduce":
-        if system is None:
-            raise ValidationError("reduce applies to planar jobs only")
-        reduced = abel_from_planar(system)
-        origin = reduced.origin
+        origin = problem.origin
         _write_json(
             out_dir,
             "reduction.json",
@@ -213,14 +188,14 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
                 "n": origin.n,
                 "A": origin.A.to_json_dict(),
                 "B": origin.B.to_json_dict(),
-                "f": reduced.f.to_json_dict(),
-                "g": reduced.g.to_json_dict(),
-                "half_width": reduced.half_width,
+                "f": problem.f.to_json_dict(),
+                "g": problem.g.to_json_dict(),
+                "half_width": problem.half_width,
                 "parities": {
                     "A": origin.A.parity().value,
                     "B": origin.B.parity().value,
-                    "f": reduced.f_parity.value,
-                    "g": reduced.g_parity.value,
+                    "f": problem.f_parity.value,
+                    "g": problem.g_parity.value,
                 },
                 "mean_A": str(origin.A.mean_value()),
             },
@@ -229,54 +204,47 @@ def run_job(spec: dict, out_dir: Path, args) -> int:
         return 0
 
     if command == "scan":
-        prob = problem if system is None else abel_from_planar(system)
-        grid = _rho_grid(spec_config, args)
+        grid = config.get("rho_grid")
         if grid is None:
-            grid = abel_solver.default_rho_grid(prob, config).tolist()
-        report = abel_solver.displacement_scan(prob, grid, config)
+            grid = abel_solver.default_rho_grid(problem, solver).tolist()
+        report = abel_solver.displacement_scan(problem, [float(v) for v in grid], solver)
         _write(out_dir, "scan.csv", abel_solver.report_to_csv(report))
         _write_json(out_dir, "scan.json", report.to_json_dict())
         print(f"classification: {report.classification.value}")
         return 0
 
     if command == "crosscheck":
-        if system is None:
-            raise ValidationError("crosscheck applies to planar jobs only")
-        r0 = float(spec_config.get("r0", 0.05))
-        samples = spec_config.get("samples", 64)
-        defect = planar_solver.crosscheck_cherkas(system, r0, config, samples=samples)
+        r0 = float(config.get("r0", 0.05))
+        samples = config.get("samples", 64)
+        defect = planar_solver.crosscheck_cherkas(system, r0, solver, samples=samples)
         _write_json(
             out_dir, "crosscheck.json", {"r0": r0, "defect": defect, "samples": samples}
         )
         print(f"crosscheck defect: {defect:.6g}")
         return 0
 
-    if command == "picard":
-        prob = problem if system is None else abel_from_planar(system)
-        if "rho" in spec_config:
-            rho = float(spec_config["rho"])
-        elif grid := _rho_grid(spec_config, args):
-            rho = grid[0]
-        else:
-            bound = abel_solver.rho_admissible_bound(prob, config.ball_radius)
-            rho = 0.5 * bound
-            if not rho > 0:
-                raise ValidationError(f"the admissible radius {bound:.6g} leaves no rho")
-        fixed = abel_solver.picard_fixed_point(prob, rho, config)
-        defect = abel_solver.evenness_defect(fixed)
-        _write(out_dir, "picard.csv", abel_solver.trajectory_to_csv(fixed))
-        _write_json(out_dir, "picard.json", {"rho": rho, "evenness_defect": defect})
-        print(f"evenness defect at rho={rho:.6g}: {defect:.6g}")
-        return 0
-
-    raise ValidationError(f"unhandled command {command!r}")
+    # picard
+    if "rho" in config:
+        rho = float(config["rho"])
+    elif "rho_grid" in config:
+        rho = float(config["rho_grid"][0])
+    else:
+        bound = abel_solver.rho_admissible_bound(problem, solver.ball_radius)
+        rho = 0.5 * bound
+        if not rho > 0:
+            raise ValidationError(f"the admissible radius {bound:.6g} leaves no rho")
+    fixed = abel_solver.picard_fixed_point(problem, rho, solver)
+    defect = abel_solver.evenness_defect(fixed)
+    _write(out_dir, "picard.csv", abel_solver.trajectory_to_csv(fixed))
+    _write_json(out_dir, "picard.json", {"rho": rho, "evenness_defect": defect})
+    print(f"evenness defect at rho={rho:.6g}: {defect:.6g}")
+    return 0
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = _load_jobspec(args.spec)
-        return run_job(spec, Path(args.out), args)
+        return run_job(_load_jobspec(args), Path(args.out))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -36,6 +36,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _parse_coeffs(values: Sequence, label: str) -> list[float]:
+    if not isinstance(values, (list, tuple)):  # a string would read as its digits
+        raise ValidationError(f"{label} coefficients must be a list, got {values!r}")
     out = []
     for v in values:
         try:

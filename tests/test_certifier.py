@@ -191,6 +191,18 @@ def test_family_half_width_must_be_a_number(build, half_width):
         build([0, 1], [0, 1], half_width)
 
 
+@pytest.mark.parametrize("build", [cos2pit_problem, poly_problem])
+@pytest.mark.parametrize(
+    "coeffs", ["12", "10", {"1": 2}, 7], ids=["str-12", "str-10", "dict", "int"]
+)
+def test_family_coefficients_must_be_lists(build, coeffs):
+    # iterating a string would silently read "12" as [1, 2]
+    with pytest.raises(ValidationError, match="must be a list"):
+        build(coeffs, [1])
+    with pytest.raises(ValidationError, match="must be a list"):
+        build([1], coeffs)
+
+
 def test_zero_coefficients_certify_with_note():
     cert = classify_abel(AbelProblem(f=TrigPoly.zero(), g=TrigPoly.zero()))
     assert cert.verdict is Verdict.CERTIFIED_CENTER
@@ -214,6 +226,19 @@ def test_false_parity_declaration_is_rejected():
         g_parity=Parity.ODD,
     )
     with pytest.raises(ValidationError, match="parity"):
+        classify_abel(problem)
+
+
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN, Parity.ZERO])
+@pytest.mark.parametrize(
+    "f",
+    [lambda t: np.full_like(t, np.nan), lambda t: np.where(t > 0, np.inf, 0.0)],
+    ids=["nan", "one-sided-inf"],
+)
+def test_non_finite_samples_fail_the_spot_check(parity, f):
+    # NaN > 1e-10 is False, so a NaN defect must not read as agreement
+    problem = AbelProblem(f=f, g=np.sin, half_width=1.0, f_parity=parity, g_parity=Parity.ODD)
+    with pytest.raises(ValidationError, match="fails a sample check"):
         classify_abel(problem)
 
 

@@ -330,12 +330,14 @@ def _family(name: str, half_width) -> dict:
         ("abel", "certify", {**_TRIG, "f": {"a": ["0", True], "b": ["1"]}}),
         ("abel", "certify", {"family": "poly", "f": [0, True], "g": [0, 1]}),
         ("abel", "certify", _family("cos2pit", True)),
+        # iterated, the string would read as the coefficients [1, 2]
+        ("abel", "certify", {"family": "poly", "f": "12", "g": [1]}),
     ],
     ids=["cos2pit-str", "cos2pit-null", "poly-str", "poly-null", "trig-huge",
          "family-huge-coeff", "float-n", "planar-zero-den", "trig-zero-den",
          "planar-string-list", "trig-string-list", "trig-subnormal-width",
          "poly-subnormal-width", "planar-bool", "trig-bool", "family-bool",
-         "bool-width"],
+         "bool-width", "family-string-list"],
 )
 def test_malformed_payloads_exit_2(tmp_path, capsys, kind, command, payload):
     spec = {"kind": kind, "command": command, "payload": payload}
@@ -445,12 +447,38 @@ def test_non_finite_flags_exit_2(tmp_path, flags):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("certify", ("--rho-grid", "abc")),
+        ("reduce", ("--rho-grid", "abc")),
+        ("crosscheck", ("--rho-grid", "abc")),
+        ("picard", ("--rho-grid", "")),
+        ("certify", ("--rho-grid", "0.01,nan")),
+    ],
+)
+def test_malformed_flags_exit_2_whatever_the_command(tmp_path, capsys, command, flags):
+    # flags are checked as config values, whether or not the command reads them
+    spec = {"kind": "planar", "command": command, "payload": CUBIC_PAYLOAD}
+    code, out = run_cli(tmp_path, spec, "out", *flags)
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     spec = {"kind": "planar", "command": "certify", "payload": CUBIC_PAYLOAD}
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, spec, "out", "--seed", "1")
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.mark.parametrize("r0", [1e150, 1e300])
@@ -465,6 +493,7 @@ def test_crosscheck_at_huge_radius_fails_fast(tmp_path, r0):
         capture_output=True,
         text=True,
         timeout=60,
+        env=_src_env(),
     )
     assert proc.returncode == 3
     assert "BlowUp" in proc.stderr
@@ -532,6 +561,7 @@ def test_module_invocation(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "certified_center" in proc.stdout
@@ -556,11 +586,9 @@ def test_exact_commands_leave_scipy_unimported(tmp_path):
     for i, (kind, command, payload) in enumerate(jobs):
         specs.append(tmp_path / f"job{i}.json")
         specs[-1].write_text(json.dumps({"kind": kind, "command": command, "payload": payload}))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, *map(str, specs)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "scipy modules: []" in proc.stdout.splitlines()
