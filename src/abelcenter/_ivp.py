@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUp, MaxStepsExceeded, StepUnderflow
+from .errors import BlowUp, MaxStepsExceeded, StepUnderflow, ValidationError
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -102,14 +102,18 @@ def solve_dense(
     clamped outside the integrated range.  With ``per_component`` every
     component must meet the tolerances on its own
     (:class:`MaxNormDOP853`) instead of in scipy's RMS norm.  A
-    non-finite initial derivative raises :class:`BlowUp` before any step,
-    after ``on_step`` has seen the initial state: scipy would take a NaN
-    first step and never return from it.
+    non-finite ``y0`` raises :class:`ValidationError`, and a non-finite
+    initial derivative :class:`BlowUp` before any step, after ``on_step``
+    has seen the initial state: scipy would take a NaN first step and never
+    return from it.
     """
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y0)):
+        raise ValidationError(f"initial state {y0.tolist()} is not finite")
     _bind_scipy()
     method = MaxNormDOP853 if per_component else DOP853
     solver = method(
-        rhs, t0, np.asarray(y0, dtype=float), t_bound,
+        rhs, t0, y0, t_bound,
         max_step=max_step, rtol=config.rel_tol, atol=config.abs_tol,
     )
     if not np.all(np.isfinite(solver.f)):

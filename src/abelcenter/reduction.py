@@ -73,9 +73,6 @@ class HomogPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def parity(self) -> Parity:
         """Parity of ``p(cos t, sin t)`` under t -> -t: that of the y-power j of
         each nonzero term.  Exact, as the even-j and odd-j parts are homogeneous
@@ -335,7 +332,7 @@ def cherkas_forward(r: float, theta: float, B: Coefficient, n: int) -> float:
     if n < 2:
         raise ValidationError("degree must be >= 2")
     u = r ** (n - 1)
-    b = B.eval(theta) if isinstance(B, TrigPoly) else float(B(theta))
+    b = _scalar_evaluator(B)(theta)
     denom = 1.0 + b * u
     if denom <= 0.0:
         raise OutsideMonotoneRegion(
@@ -354,7 +351,7 @@ def cherkas_inverse(gamma: float, theta: float, B: Coefficient, n: int) -> float
         raise ValidationError("degree must be >= 2")
     if gamma < 0:
         raise OutsideTransformImage(f"gamma={gamma:.6g} is negative")
-    b = B.eval(theta) if isinstance(B, TrigPoly) else float(B(theta))
+    b = _scalar_evaluator(B)(theta)
     denom = 1.0 - b * gamma
     if denom <= 0.0:
         raise OutsideTransformImage(

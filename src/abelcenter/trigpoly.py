@@ -253,7 +253,7 @@ class TrigPoly:
             raise ValidationError("a coefficient lies beyond the float range") from None
 
     def eval(self, t: float) -> float:
-        """Evaluate at a single point, one ``cos``/``sin`` call per term."""
+        """Evaluate at one point, one ``cos``/``sin`` call per term: the reference."""
         a, b = self._floats
         total = a[0]
         for k in range(1, len(a)):
@@ -264,22 +264,22 @@ class TrigPoly:
         return total
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of points."""
+        """Vectorized evaluation: :meth:`scalar_evaluator` run on whole arrays,
+        an array of ``ts.shape`` for every degree."""
         ts = np.asarray(ts, dtype=float)
-        a, b = self._floats
-        angles = np.multiply.outer(ts, np.arange(len(a)))
-        return np.cos(angles) @ a + np.sin(angles) @ b
+        return np.full_like(ts, self.scalar_evaluator()(ts, np.cos, np.sin))
 
     def scalar_evaluator(self) -> Callable[[float], float]:
-        """A scalar evaluator for hot loops: cos(kt) and sin(kt) by angle addition
+        """The evaluator of package code: cos(kt) and sin(kt) by angle addition
         from one cos/sin pair, in plain floats (tiny numpy arrays cost more
-        than the arithmetic).  Agrees with :meth:`eval` up to rounding."""
+        than the arithmetic), or elementwise given ``np.cos`` and ``np.sin``.
+        Agrees with :meth:`eval` up to rounding."""
         a, b = self._floats
         a0, pairs = a[0], tuple(zip(a[1:], b[1:]))
 
-        def ev(t: float) -> float:
-            c1 = math.cos(t)
-            s1 = math.sin(t)
+        def ev(t: float, cos=math.cos, sin=math.sin) -> float:
+            c1 = cos(t)
+            s1 = sin(t)
             ck, sk = c1, s1
             total = a0
             for ak, bk in pairs:

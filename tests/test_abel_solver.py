@@ -605,9 +605,25 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(ball_radius=-1.0)
     for bad in ({"grid_points": 8.5}, {"max_steps": 2.5}, {"picard_max_iter": 3.5},
-                {"max_steps": True}, {"rel_tol": "1e-10"}):
+                {"max_steps": True}, {"rel_tol": "1e-10"},
+                {"rel_tol": 10**400}, {"ball_radius": 10**400}):
         with pytest.raises(ValidationError):
             SolverConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda problem: return_map(problem, math.nan),
+        lambda problem: displacement_scan(problem, [math.inf]),
+        lambda problem: picard_fixed_point(problem, math.nan),
+    ],
+    ids=["return_map-nan", "scan-inf", "picard-nan"],
+)
+@pytest.mark.filterwarnings("ignore:initial value")
+def test_non_finite_initial_values_raise_validation_error(tt_problem, solve):
+    with pytest.raises(ValidationError, match="not finite"):
+        solve(tt_problem)
 
 
 def test_trajectory_validation():

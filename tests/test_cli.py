@@ -499,6 +499,40 @@ def test_crosscheck_at_huge_radius_fails_fast(tmp_path, r0):
     assert "BlowUp" in proc.stderr
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_parity_samples_leave_stderr_clean(tmp_path, capsys):
+    # the declared parity of t^2 is spot-checked where the samples overflow to inf
+    spec = {"kind": "abel", "command": "certify", "payload": _BIG_POLY}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "certificate.json").read_text())["verdict"] == "inconclusive"
+
+
+_COS2PIT = {"family": "cos2pit", "f": [0, 0, 1], "g": [1, "1/2"]}
+_POLY = {"family": "poly", "f": [0, 1], "g": [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "kind,command,payload",
+    [("planar", command, CUBIC_PAYLOAD)
+     for command in ("certify", "reduce", "scan", "crosscheck", "picard")]
+    + [("abel", command, payload)
+       for payload in (_COS2PIT, _POLY, _TRIG) for command in ("certify", "scan", "picard")],
+    ids=["planar-certify", "planar-reduce", "planar-scan", "planar-crosscheck", "planar-picard",
+         "cos2pit-certify", "cos2pit-scan", "cos2pit-picard", "poly-certify", "poly-scan",
+         "poly-picard", "trig-certify", "trig-scan", "trig-picard"],
+)
+def test_jobs_never_call_the_reference_eval(tmp_path, monkeypatch, kind, command, payload):
+    # TrigPoly.eval is the per-term reference the tests compare against
+    def refuse(self, t):
+        raise AssertionError("package code called TrigPoly.eval")
+
+    monkeypatch.setattr(TrigPoly, "eval", refuse)
+    code, _ = run_cli(tmp_path, {"kind": kind, "command": command, "payload": payload})
+    assert code == 0
+
+
 _BAD_VALUES = st.one_of(
     st.none(),
     st.booleans(),

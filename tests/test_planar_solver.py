@@ -37,6 +37,21 @@ def cubic_identity_system() -> PlanarSystem:
     )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system: polar_return_map(system, math.nan),
+        lambda system: crosscheck_cherkas(system, math.nan),
+        lambda system: integrate_planar(system, math.nan, 0.0),
+        lambda system: crosscheck_cherkas(system, 0.05, samples=2.5),
+    ],
+    ids=["polar-nan", "crosscheck-nan", "integrate-nan", "crosscheck-float-samples"],
+)
+def test_non_finite_or_fractional_inputs_raise_validation_error(cubic_system, call):
+    with pytest.raises(ValidationError):
+        call(cubic_system)
+
+
 # ----------------------------------------------------------------------
 # full-turn integration
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -463,6 +464,29 @@ def test_scalar_evaluators_match_exact_coefficients(n):
     for coef, ev in zip((problem.f, problem.g), problem.evaluators()):
         tol = 1e-13 * coef.linf_bound()
         assert max(abs(ev(t) - coef.eval(t)) for t in ts) <= tol
+
+
+def test_sampling_a_degree_34_coefficient_needs_no_angle_matrix():
+    # one grid-sized array is 512 KiB at 2^16 points; an N x (d+1) matrix of
+    # angles, cosines or sines would be 17.5 MiB each
+    rng = np.random.default_rng(16)
+
+    def dense():
+        return HomogPoly(
+            tuple(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7))) for _ in range(17))
+        )
+
+    f = abel_from_planar(PlanarSystem(n=16, P=dense(), Q=dense())).f
+    assert f.degree == 34
+    ts = np.linspace(-math.pi, math.pi, 2**16)
+    f.eval_array(ts[:8])  # the float rows are converted once, outside the trace
+    tracemalloc.start()
+    try:
+        f.eval_array(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # ----------------------------------------------------------------------

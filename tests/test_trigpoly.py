@@ -299,6 +299,31 @@ def test_eval_array_matches_scalar_eval(p, t):
     assert arr[0] == pytest.approx(p.eval(t), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ts", [np.float64(0.3), np.array(0.3), np.array([0.3]), np.linspace(-1, 1, 6).reshape(2, 3)],
+    ids=["scalar", "0-d", "one-element", "2-d"],
+)
+@pytest.mark.parametrize(
+    "p", [TrigPoly.zero(), TrigPoly.constant(Fraction(3, 2)), TrigPoly.sine(2, -1)],
+    ids=["zero", "constant", "sine"],
+)
+def test_eval_array_returns_an_array_of_the_input_shape(p, ts):
+    out = p.eval_array(ts)
+    assert isinstance(out, np.ndarray) and out.shape == np.shape(ts)
+    want = [p.eval(t) for t in np.ravel(ts).tolist()]
+    assert out.ravel().tolist() == pytest.approx(want, abs=1e-15)
+
+
+@given(trigpolys(max_degree=8), st.lists(st.floats(-100, 100), min_size=1, max_size=16))
+def test_eval_array_symmetry_is_exact(p, ts):
+    # angle addition from one (cos t, sin t) pair keeps t -> -t symmetry exact
+    ts = np.array(ts)
+    even = TrigPoly(p.cos, [0] * len(p.sin))
+    odd = TrigPoly([0] * len(p.cos), p.sin)
+    assert np.array_equal(even.eval_array(-ts), even.eval_array(ts))
+    assert np.array_equal(odd.eval_array(-ts), -odd.eval_array(ts))
+
+
 # ----------------------------------------------------------------------
 # parity and bounds
 
