@@ -1,30 +1,34 @@
-"""Thin stepping loop around scipy's DOP853: the one solver core.
+"""DOP853 and the stepping loop that drives it: the one solver core.
 
 scipy's ``solve_ivp`` hides the step loop, which makes it awkward to
 enforce a step budget, run per-step guards (blow-up, region checks), or
-stop on a state-dependent condition.  This wrapper drives the solver
-class directly, reads the tolerances and the step budget from a
+stop on a state-dependent condition.  :func:`solve_dense` drives the
+solver object directly, reads the tolerances and the step budget from a
 :class:`~abelcenter.abel_solver.SolverConfig`, and aborts with
-:class:`~abelcenter.errors.BlowUp` on a non-finite state, so callers
-keep only the checks that are their own.  In dense mode it keeps every
-local interpolant in scipy's :class:`~scipy.integrate.OdeSolution`, so
-solutions can be evaluated anywhere afterwards; callers that need only
-the final state switch that off and save the interpolants' extra
-right-hand-side evaluations.  A vector state whose components are
-independent solutions can ask for per-component error control, so that
-each component is held to the tolerances on its own.
+:class:`~abelcenter.errors.BlowUp` on a non-finite state, so callers keep
+only their own checks.  It keeps each step's interpolant in a
+:class:`DenseSolution` unless told to return only the final state, and it
+can hold each component of a vector state to the tolerances on its own.
 
-scipy is imported on first use, since the exact commands never step an
-ODE and ``scipy.integrate`` takes several times numpy's import time.
-:func:`solve_dense` is bound at import, for the benchmark's tracing to
-wrap; ``DOP853``, ``OdeSolution``, ``MaxNormDOP853`` (tests import it) and
-``DenseSolution`` (tracing wraps its ``__call__``) are bound on the first
-:func:`solve_dense` call or read, keeping any name a test has rebound.
+:class:`DOP853` performs scipy 1.17's arithmetic expression for expression
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.5-II.6), so its steps,
+states, ``nfev`` and dense values are bit-identical to scipy's.  Its Butcher
+tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by file
+location when the first solver is built: that file imports only numpy,
+while importing it by name runs ``scipy/integrate/__init__``, ~0.6 s of
+scipy.special, scipy.optimize and scipy.sparse.linalg.  The benchmark's
+tracing wraps :func:`solve_dense` and ``DenseSolution.__call__``; tests
+subclass and rebind ``DOP853`` and ``MaxNormDOP853``, which
+:func:`solve_dense` looks up when it is called.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import runpy
+import warnings
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -32,49 +36,178 @@ import numpy as np
 from .errors import BlowUp, MaxStepsExceeded, StepUnderflow, ValidationError
 
 if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
-
     from .abel_solver import SolverConfig
 
 # interpolation order of DOP853's local interpolant
 DENSE_ORDER = 7
 
-_SCIPY_NAMES = ("DOP853", "OdeSolution", "MaxNormDOP853", "DenseSolution")
+# step-size control: safety factor and the bounds on one step's change
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
-def _bind_scipy() -> None:
-    """Bind the names in ``_SCIPY_NAMES`` here, importing scipy once."""
-    if "DenseSolution" in globals():
-        return
-    from scipy.integrate import DOP853, OdeSolution
-
-    class MaxNormDOP853(DOP853):
-        """DOP853 whose error norm is the worst single component.
-
-        scipy combines the 5th- and 3rd-order estimates e5, e3 of all m
-        components into h |e5|^2 / sqrt(m (|e5|^2 + 0.01 |e3|^2)), so a large
-        e3 in one component damps the estimate for another.  Here the same
-        formula is applied to each component alone and the maximum is taken;
-        for m = 1 this is scipy's norm.
-        """
-
-        def _estimate_error_norm(self, K, h, scale):
-            err5 = np.dot(K.T, self.E5) / scale
-            err3 = np.dot(K.T, self.E3) / scale
-            err5_2 = err5 * err5
-            denom = np.sqrt(err5_2 + 0.01 * (err3 * err3))
-            ratio = np.divide(err5_2, denom, out=np.zeros_like(denom), where=denom > 0)
-            return abs(h) * float(ratio.max())
-
-    for name, value in zip(_SCIPY_NAMES, (DOP853, OdeSolution, MaxNormDOP853, OdeSolution)):
-        globals().setdefault(name, value)
+def _load_tableau(cls) -> None:
+    """Bind scipy's DOP853 coefficients on ``cls``, running no scipy package code."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    tab = runpy.run_path(os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    n, n_extended, A, C = tab["N_STAGES"], tab["N_STAGES_EXTENDED"], tab["A"], tab["C"]
+    # (s, a_s1 .. a_s(s-1), c_s) of a step's stages 1..n-1 and the dense output's extra ones
+    cls.stages = [(s, A[s, :s], C[s]) for s in range(1, n)]
+    cls.extra_stages = [(s, A[s, :s], C[s]) for s in range(n + 1, n_extended)]
+    cls.B, cls.E3, cls.E5, cls.D = tab["B"], tab["E3"], tab["E5"], tab["D"]
+    cls.n_extended, cls.n_interp, cls.n_stages = n_extended, tab["INTERPOLATOR_POWER"], n
 
 
-def __getattr__(name: str):
-    if name in _SCIPY_NAMES:
-        _bind_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class DOP853:
+    """scipy's DOP853 solver object, for a real 1-d state and ``t_bound != t0``."""
+
+    n_stages = None  # bound with the rest of the tableau by the first construction
+    error_exponent = -1 / 8  # -1 / (error estimator order + 1)
+
+    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf, rtol=1e-3, atol=1e-6):
+        if self.n_stages is None:
+            _load_tableau(__class__)  # this class, whatever the module name is rebound to
+        self._rhs, self.nfev, self.status, self.t_old = fun, 0, "running", None
+        self.t, self.y, self.t_bound = t0, np.asarray(y0, dtype=float), t_bound
+        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        if np.any(rtol < _RTOL_FLOOR):
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {_RTOL_FLOOR})`.", stacklevel=3)
+            rtol = np.maximum(rtol, _RTOL_FLOOR)
+        self.max_step, self.rtol, self.atol = max_step, rtol, atol
+        self.f = f0 = self.fun(t0, self.y)
+        interval_length = abs(t_bound - t0)  # scipy's select_initial_step and RMS norm
+        scale = atol + np.abs(self.y) * rtol
+        d0, d1 = (np.linalg.norm(v / scale) / v.size ** 0.5 for v in (self.y, f0))
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
+        f1 = self.fun(t0 + h0 * self.direction, self.y + h0 * self.direction * f0)
+        d2 = np.linalg.norm((f1 - f0) / scale) / f1.size ** 0.5 / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 8))
+        self.h_abs = min(100 * h0, h1, interval_length, max_step)
+        self.K_extended = np.empty((self.n_extended, self.y.size))
+
+    def fun(self, t, y):
+        self.nfev += 1
+        return np.asarray(self._rhs(t, y), dtype=float)
+
+    def step(self):
+        """One accepted step; returns the failure message or None."""
+        success, message = self._step_impl()
+        if not success or self.direction * (self.t - self.t_bound) >= 0:
+            self.status = "finished" if success else "failed"
+        return message
+
+    def _stages(self, stages, t, y, h):
+        """K[s] = f(t + c_s h, y + h sum_j a_sj K[j]) for each of ``stages``."""
+        K, fun = self.K_extended, self.fun
+        for s, a, c in stages:
+            K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+
+    def _step_impl(self):
+        t, y, direction = self.t, self.y, self.direction
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, "Required step size is less than spacing between numbers."
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K = self.K_extended[:self.n_stages + 1]  # scipy's rk_step
+            K[0] = self.f
+            self._stages(self.stages, t, y, h)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            K[-1] = f_new = self.fun(t + h, y_new)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(K, h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+        factor = (MAX_FACTOR if error_norm == 0
+                  else min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent))
+        self.h_abs = h_abs * (min(1, factor) if step_rejected else factor)
+        self.h_previous, self.t_old, self.y_old = h, t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        return True, None
+
+    def _estimate_error_norm(self, K, h, scale):
+        err5, err3 = np.dot(K.T, self.E5) / scale, np.dot(K.T, self.E3) / scale
+        err5_norm_2, err3_norm_2 = np.linalg.norm(err5)**2, np.linalg.norm(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        return np.abs(h) * err5_norm_2 / np.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
+
+    def dense_output(self):
+        """The interpolant over the last step, after three more stages."""
+        K, h, y_old = self.K_extended, self.h_previous, self.y_old
+        self._stages(self.extra_stages, self.t_old, y_old, h)
+        F, delta_y = np.empty((self.n_interp, y_old.size)), self.y - y_old
+        F[0], F[1], F[2] = delta_y, h * K[0] - delta_y, 2 * delta_y - h * (self.f + K[0])
+        F[3:] = h * np.dot(self.D, K)
+        return _Dop853Dense(self.t_old, self.t, y_old, F)
+
+
+class MaxNormDOP853(DOP853):
+    """DOP853 whose error norm is the worst single component.
+
+    scipy combines the 5th- and 3rd-order estimates e5, e3 of all m
+    components into h |e5|^2 / sqrt(m (|e5|^2 + 0.01 |e3|^2)), so a large
+    e3 in one component damps the estimate for another.  Here the same
+    formula is applied to each component alone and the maximum is taken;
+    for m = 1 this is scipy's norm.
+    """
+
+    def _estimate_error_norm(self, K, h, scale):
+        err5 = np.dot(K.T, self.E5) / scale
+        err3 = np.dot(K.T, self.E3) / scale
+        err5_2 = err5 * err5
+        denom = np.sqrt(err5_2 + 0.01 * (err3 * err3))
+        ratio = np.divide(err5_2, denom, out=np.zeros_like(denom), where=denom > 0)
+        return abs(h) * float(ratio.max())
+
+
+class _Dop853Dense:
+    """DOP853's interpolant over one step from t_old to t."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old, self.t, self.h, self.y_old, self.F = t_old, t, t - t_old, y_old, F
+
+    def __call__(self, t):
+        x = (np.asarray(t) - self.t_old) / self.h
+        x = x if np.ndim(x) == 0 else x[:, None]
+        y = np.zeros(np.shape(x)[:1] + self.y_old.shape)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        return (y + self.y_old).T
+
+
+class DenseSolution:
+    """The interpolants of a forward integration as one function of a float or 1-d array.
+
+    Each point goes to the first segment that ends at or after it, clamped at
+    both ends: scipy's ``OdeSolution`` rule."""
+
+    def __init__(self, ts, interpolants):
+        self.ts, self.interpolants = np.asarray(ts), interpolants
+        self.t_min, self.t_max = self.ts[0], self.ts[-1]
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        segments = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
+        if t.ndim == 0:
+            return self.interpolants[segments](t)
+        order = np.argsort(t)
+        t_sorted, segments = t[order], segments[order]
+        cuts = np.flatnonzero(np.diff(segments)) + 1  # where the segment changes
+        parts = zip(segments[np.r_[0, cuts]], np.split(t_sorted, cuts))
+        ys = np.hstack([self.interpolants[segment](part) for segment, part in parts])
+        return ys[:, np.argsort(order)]
 
 
 def solve_dense(
@@ -89,7 +222,7 @@ def solve_dense(
     per_component: bool = False,
     on_step: Callable[[float, np.ndarray], None] | None = None,
     stop: Callable[[float, np.ndarray], bool] | None = None,
-) -> tuple[OdeSolution | None, float, np.ndarray]:
+) -> tuple[DenseSolution | None, float, np.ndarray]:
     """Integrate to ``t_bound`` (may be ``np.inf`` when ``stop`` is given).
 
     ``config`` supplies ``rel_tol``, ``abs_tol`` and ``max_steps``;
@@ -98,19 +231,16 @@ def solve_dense(
     non-finite after it raises :class:`BlowUp`.  ``stop`` ends the
     integration once it returns True.  Returns the dense solution
     (``None`` when ``dense`` is False) together with the final time and
-    state; each point goes to the first segment ending at or after it,
-    clamped outside the integrated range.  With ``per_component`` every
-    component must meet the tolerances on its own
-    (:class:`MaxNormDOP853`) instead of in scipy's RMS norm.  A
-    non-finite ``y0`` raises :class:`ValidationError`, and a non-finite
-    initial derivative :class:`BlowUp` before any step, after ``on_step``
-    has seen the initial state: scipy would take a NaN first step and never
-    return from it.
+    state.  With ``per_component`` every component must meet the
+    tolerances on its own (:class:`MaxNormDOP853`) instead of in DOP853's
+    RMS norm.  A non-finite ``y0`` raises :class:`ValidationError`, and a
+    non-finite initial derivative :class:`BlowUp` before any step, after
+    ``on_step`` has seen the initial state: DOP853 would take a NaN first
+    step and never return from it.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise ValidationError(f"initial state {y0.tolist()} is not finite")
-    _bind_scipy()
     method = MaxNormDOP853 if per_component else DOP853
     solver = method(
         rhs, t0, y0, t_bound,
@@ -138,5 +268,5 @@ def solve_dense(
             raise BlowUp(f"non-finite state at t={solver.t:.6g}")
         if stop is not None and stop(solver.t, solver.y):
             break
-    solution = OdeSolution([t0, *(seg.t for seg in segments)], segments) if dense else None
+    solution = DenseSolution([t0, *(seg.t for seg in segments)], segments) if dense else None
     return solution, solver.t, solver.y.copy()

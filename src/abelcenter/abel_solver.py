@@ -130,6 +130,14 @@ class Trajectory:
         return float(np.max(np.abs(self.values)))
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)``, raising :class:`ValidationError` where that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} lies beyond the float range") from None
+
+
 def rho_admissible_bound(problem: AbelProblem, ball_radius: float = 1.0) -> float:
     """Largest initial value the operator route is guaranteed to handle.
 
@@ -228,7 +236,7 @@ def integrate_abel(
     raises :class:`BlowUp`.
     """
     a = problem.half_width
-    dense, _, y_end = _solve_abel(problem, np.array([float(rho)]), config, dense=True)
+    dense, _, y_end = _solve_abel(problem, np.array([_as_float(rho, "rho")]), config, dense=True)
     nodes = np.linspace(-a, a, config.grid_points)
     values = dense(nodes)[0]
     values[-1] = y_end[0]
@@ -244,7 +252,7 @@ def return_map(
     both coefficients are exact trig polynomials of top degree d, the step
     is capped at pi / d.
     """
-    _, _, y_end = _solve_abel(problem, np.array([float(rho)]), config, dense=False)
+    _, _, y_end = _solve_abel(problem, np.array([_as_float(rho, "rho")]), config, dense=False)
     return float(y_end[0])
 
 
@@ -330,7 +338,7 @@ def displacement_scan(
     x(a) meets the tolerances as if solved alone; the step cap of
     :func:`return_map` applies.  A blow-up of any rho aborts the scan.
     """
-    rhos = np.asarray(sorted(float(r) for r in rho_grid))
+    rhos = np.asarray(sorted(_as_float(r, "rho") for r in rho_grid))
     if rhos.size == 0:
         raise ValidationError("rho grid must be nonempty")
     if np.any(rhos <= 0):
@@ -378,8 +386,30 @@ def displacement_scan(
 
 def _require_grid_match(problem: AbelProblem, x: Trajectory) -> None:
     a = problem.half_width
+    if x.nodes.size < 3 or not np.all(np.diff(x.nodes) > 0):
+        raise ValidationError("trajectory nodes must be at least 3 and strictly increasing")
     if abs(x.nodes[0] + a) > 1e-12 * max(1.0, a) or abs(x.nodes[-1] - a) > 1e-12 * max(1.0, a):
         raise ValidationError("trajectory grid does not span the problem interval")
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy's ``cumulative_simpson(y, x=x, initial=0.0)`` for 1-d y, x of 3 or more
+    nodes, operation for operation: each interval's integral comes from the
+    quadratic through it and its right neighbours (h1) or, flipped, its left
+    neighbours (h2); the intervals alternate h1, h2, and the last is h2's."""
+
+    def h1_integrals(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        coeff1, coeff2 = 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31
+        return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] - x21x21_x31x32 * y[2:])
+
+    dx = np.diff(x)
+    h1, h2 = h1_integrals(y, dx), np.flip(h1_integrals(np.flip(y), np.flip(dx)))
+    parts = np.empty(h1.size + 1)
+    parts[:-1:2], parts[1::2], parts[-1] = h1[::2], h2[::2], h2[-1]
+    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))  # + initial, as scipy: -0.0 -> 0.0
 
 
 def picard_operator(
@@ -395,11 +425,10 @@ def picard_operator(
     above 1/4 - a deliberate numerical safety margin below the theoretical 1/2
     threshold - and :class:`DenominatorTooSmall` is raised otherwise.
     """
-    from scipy.integrate import cumulative_simpson
     _require_grid_match(problem, x)
     t = x.nodes
     integrand = problem.f_values(t) * x.values + problem.g_values(t)
-    inner = cumulative_simpson(integrand, x=t, initial=0.0)
+    inner = _cumulative_simpson(integrand, t)
     denom = 1.0 - rho * inner
     dmin = float(denom.min())
     if dmin <= 0.25:
@@ -422,7 +451,7 @@ def picard_fixed_point(
     """
     if rho < 0:
         raise ValidationError("the operator route handles nonnegative rho only")
-    if not math.isfinite(rho):
+    if not math.isfinite(_as_float(rho, "rho")):
         raise ValidationError(f"rho={rho} is not finite")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if rho >= bound:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ivp import solve_dense
-from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _csv
+from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _as_float, _csv
 from .errors import BlowUp, LeftMonotoneRegion, SolverError, ValidationError
 from .reduction import (
     PlanarSystem,
@@ -90,6 +90,7 @@ def integrate_planar(
     :class:`BlowUp`.
     """
     from scipy.optimize import brentq
+    x0, y0 = _as_float(x0, "x0"), _as_float(y0, "y0")
     r0 = math.hypot(x0, y0)
     if r0 == 0.0:
         raise ValidationError("the initial point must differ from the origin")
@@ -147,6 +148,7 @@ def integrate_planar(
 def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
     """r(theta) over [0, 2pi] for r' = A r^n / (1 + B r^(n-1)) with circle
     functions A and B: (dense solution or None, r(2pi))."""
+    r0 = _as_float(r0, "r0")
     if r0 < 0:
         raise ValidationError("the starting radius must be nonnegative")
     a_ev = _scalar_evaluator(A)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ from abelcenter import (
 )
 from abelcenter import _ivp
 from abelcenter._ivp import MaxNormDOP853, solve_dense
+from abelcenter.abel_solver import _cumulative_simpson
 from conftest import make_zero_radial
 
 
@@ -181,16 +183,141 @@ def test_dense_solution_evaluates_each_point_on_its_own_segment():
 
 
 # ----------------------------------------------------------------------
+# the in-package DOP853, DenseSolution and Simpson rule against scipy's
+
+
+def test_dense_solution_sends_each_step_end_to_the_step_it_ends():
+    class Tag:
+        """An interpolant that returns its own index at every point."""
+
+        def __init__(self, index):
+            self.index = index
+
+        def __call__(self, t):
+            return np.full((1, *np.shape(t)), float(self.index))
+
+    ts, tags = [0.0, 1.0, 2.0, 3.0], [Tag(0), Tag(1), Tag(2)]
+    points = np.array([3.5, 2.0, 1.0, 0.0, -1.0, 0.5, 1.5, 3.0])
+    expected = [2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]
+    for solution in (_ivp.DenseSolution(ts, tags), OdeSolution(ts, tags)):
+        assert solution(points)[0].tolist() == expected
+        assert [solution(float(t))[0] for t in points] == expected
+
+
+class ScipyMaxNormDOP853(DOP853):
+    """scipy's DOP853 under the per-component error norm of MaxNormDOP853."""
+
+    _estimate_error_norm = MaxNormDOP853._estimate_error_norm
+
+
+def test_tableau_is_scipys_own():
+    from scipy.integrate._ivp import dop853_coefficients as tableau
+
+    _ivp.DOP853(lambda t, y: -y, 0.0, [1.0], 1.0)  # the first solver loads the tableau
+    n, solver = tableau.N_STAGES, _ivp.DOP853
+    assert solver.n_stages == n
+    assert [s for s, _, _ in solver.stages] == list(range(1, n))
+    assert [s for s, _, _ in solver.extra_stages] == list(range(n + 1, tableau.N_STAGES_EXTENDED))
+    for s, a, c in solver.stages + solver.extra_stages:
+        assert np.array_equal(a, tableau.A[s, :s]) and c == tableau.C[s]
+        assert not tableau.A[s, s:].any()  # explicit: nothing on or after the diagonal
+    for name in ("B", "E3", "E5", "D"):
+        assert np.array_equal(getattr(solver, name), getattr(tableau, name)), name
+
+
+def _spike_rhs(m):
+    """m weakly coupled decaying components, forced by a narrow spike at t = 1."""
+    rates = np.linspace(1.0, 2.0, m)
+
+    def rhs(t, y):
+        return -rates * y + 1e-2 / (1e-4 + (t - 1.0) ** 2) + 0.1 * np.sin(5.0 * t) * np.roll(y, 1)
+
+    return rhs
+
+
+def _step_through(solver_class, m, dense):
+    y0 = np.linspace(1.0, -1.0, m)
+    solver = solver_class(_spike_rhs(m), 0.0, y0, 3.0, rtol=1e-8, atol=1e-10)
+    ts, ys, segments = [solver.t], [solver.y], []
+    while solver.status == "running":
+        solver.step()
+        ts.append(solver.t)
+        ys.append(solver.y)
+        if dense:
+            segments.append(solver.dense_output())
+    return solver, ts, np.array(ys), segments
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["endpoint", "dense"])
+@pytest.mark.parametrize("per_component", [False, True], ids=["rms", "max"])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_dop853_steps_bit_for_bit_like_scipys(m, per_component, dense):
+    classes = (MaxNormDOP853, ScipyMaxNormDOP853) if per_component else (_ivp.DOP853, DOP853)
+    ours, ts, ys, segments = _step_through(classes[0], m, dense)
+    theirs, ts_ref, ys_ref, segments_ref = _step_through(classes[1], m, dense)
+    assert ours.status == theirs.status == "finished"
+    assert ts == ts_ref and np.array_equal(ys, ys_ref)
+    assert ours.nfev == theirs.nfev
+    steps = len(ts) - 1
+    attempts = (ours.nfev - 2 - 3 * steps * dense) / 12  # 2 calls choose the first step
+    assert attempts > steps  # the spike makes the controller reject steps
+    if dense:
+        points = np.concatenate([np.linspace(-0.5, 3.5, 2048), ts])
+        np.random.default_rng(m).shuffle(points)
+        ours_dense = _ivp.DenseSolution(ts, segments)
+        theirs_dense = OdeSolution(ts_ref, segments_ref)
+        assert np.array_equal(ours_dense(points), theirs_dense(points))
+        for t in points[::64]:
+            assert np.array_equal(ours_dense(float(t)), theirs_dense(float(t)))
+
+
+def _solve_until_turn(config, per_component):
+    """One solve_dense run to t_bound = inf, stopped after a full turn."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (-y[1] + y[0] ** 3, y[0] + y[1] ** 3, 1.0 + 0.5 * math.cos(y[2]) * y[0])
+
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        sol, t_end, y_end = solve_dense(
+            rhs, 0.0, [0.3, 0.1, 0.0], np.inf, config,
+            per_component=per_component, stop=lambda t, y: y[2] >= 2.0 * math.pi,
+        )
+    points = np.linspace(-0.1, t_end + 0.1, 2048)
+    return [str(w.message) for w in warned], t_end, y_end, len(calls), sol(points)
+
+
+@pytest.mark.parametrize("per_component", [False, True], ids=["rms", "max"])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-20])
+def test_solve_dense_runs_as_on_scipys_classes(monkeypatch, rel_tol, per_component):
+    # 1e-20 is below the floor of 100 eps that both raise rtol to, with a warning
+    config = SolverConfig(rel_tol=rel_tol, abs_tol=1e-12)
+    ours = _solve_until_turn(config, per_component)
+    monkeypatch.setattr(_ivp, "DOP853", DOP853)
+    monkeypatch.setattr(_ivp, "MaxNormDOP853", ScipyMaxNormDOP853)
+    theirs = _solve_until_turn(config, per_component)
+    assert ours[0] == theirs[0] and len(ours[0]) == (rel_tol < 1e-14)
+    assert ours[1] == theirs[1] > 2.0
+    assert np.array_equal(ours[2], theirs[2]) and ours[3] == theirs[3]
+    assert np.array_equal(ours[4], theirs[4])
+
+
+@pytest.mark.parametrize("n", [8, 9, 2048, 2049])
+def test_cumulative_simpson_is_scipys_bit_for_bit(n):
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(n)
+    grids = [np.linspace(-w, w, n) for w in (1e-3, 1.0, math.pi)]
+    for t in [*grids, np.sort(rng.uniform(-1.0, 1.0, n))]:
+        y = rng.normal(size=n) + np.sin(3.0 * t)
+        ours = _cumulative_simpson(y, t)
+        assert ours.tobytes() == cumulative_simpson(y, x=t, initial=0.0).tobytes()
+
+
+# ----------------------------------------------------------------------
 # one vector solve per scan
-
-
-def test_lazily_bound_solver_names_are_scipys():
-    # bench/tracing.py wraps DenseSolution.__call__, so the alias must be
-    # scipy's class itself, bound on first read like the solver classes
-    assert _ivp.DenseSolution is OdeSolution is _ivp.OdeSolution
-    assert _ivp.DOP853 is DOP853
-    assert issubclass(_ivp.MaxNormDOP853, DOP853) and _ivp.MaxNormDOP853 is MaxNormDOP853
-    assert not hasattr(_ivp, "RK45")
 
 
 def test_max_norm_error_estimate_matches_scipy_for_one_component():
@@ -446,6 +573,15 @@ def test_operator_rejects_mismatched_grid(t_problem, config):
     nodes = np.linspace(-0.5, 0.5, config.grid_points)
     x = Trajectory(nodes=nodes, values=np.zeros_like(nodes), order=0)
     with pytest.raises(ValidationError):
+        picard_operator(t_problem, 0.1, x, config)
+
+
+@pytest.mark.parametrize(
+    "nodes", [[-1.0, 1.0], [-1.0, 0.5, 0.0, 1.0]], ids=["2-nodes", "unsorted"]
+)
+def test_operator_rejects_grids_the_simpson_rule_cannot_use(t_problem, config, nodes):
+    x = Trajectory(nodes=np.array(nodes), values=np.zeros(len(nodes)), order=0)
+    with pytest.raises(ValidationError, match="strictly increasing"):
         picard_operator(t_problem, 0.1, x, config)
 
 

@@ -627,3 +627,30 @@ def test_exact_commands_leave_scipy_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "scipy modules: []" in proc.stdout.splitlines()
     assert (tmp_path / "job3.json.out" / "scan.csv").exists()
+
+
+_NUMERIC_PROBE = """
+import sys
+from abelcenter.cli import main
+for spec in sys.argv[1:]:
+    assert main(["--spec", spec, "--out", spec + ".out"]) == 0, spec
+print("scipy modules:", sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_numeric_commands_leave_scipy_unimported(tmp_path):
+    # DOP853's tableau is read from scipy's file without importing scipy
+    jobs = [("planar", command, CUBIC_PAYLOAD) for command in ("scan", "crosscheck", "picard")]
+    families = [_TRIG, {"family": "cos2pit", "f": [0, 1], "g": [0, 1]},
+                {"family": "poly", "f": [0, 1], "g": [0, 1]}]
+    jobs += [("abel", command, payload) for payload in families for command in ("scan", "picard")]
+    specs = []
+    for i, (kind, command, payload) in enumerate(jobs):
+        specs.append(tmp_path / f"job{i}.json")
+        specs[-1].write_text(json.dumps({"kind": kind, "command": command, "payload": payload}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMERIC_PROBE, *map(str, specs)],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy modules: []" in proc.stdout.splitlines()

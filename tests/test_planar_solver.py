@@ -16,9 +16,13 @@ from abelcenter import (
     ValidationError,
     crosscheck_cherkas,
     displacement_scan,
+    integrate_abel,
     integrate_planar,
+    picard_fixed_point,
     planar_trajectory_to_csv,
+    poly_problem,
     polar_return_map,
+    return_map,
 )
 from abelcenter import _ivp, planar_solver, reduction
 from abelcenter.planar_solver import _polar_solution
@@ -50,6 +54,25 @@ def cubic_identity_system() -> PlanarSystem:
 def test_non_finite_or_fractional_inputs_raise_validation_error(cubic_system, call):
     with pytest.raises(ValidationError):
         call(cubic_system)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda problem, system: return_map(problem, 10**400),
+        lambda problem, system: integrate_abel(problem, 10**400),
+        lambda problem, system: displacement_scan(problem, [0.01, 10**400]),
+        lambda problem, system: picard_fixed_point(problem, 10**400),
+        lambda problem, system: polar_return_map(system, 10**400),
+        lambda problem, system: integrate_planar(system, 10**400, 0.0),
+        lambda problem, system: crosscheck_cherkas(system, 10**400),
+    ],
+    ids=["return_map", "integrate_abel", "scan", "picard", "polar", "integrate_planar",
+         "crosscheck"],
+)
+def test_initial_values_beyond_floats_raise_validation_error(cubic_system, call):
+    with pytest.raises(ValidationError, match="float range"):
+        call(poly_problem([0, 1], [0, 1]), cubic_system)
 
 
 # ----------------------------------------------------------------------
@@ -260,13 +283,13 @@ def test_coefficient_beyond_floats_raises_validation_error(solve):
 
 def test_polar_return_map_builds_no_interpolants(cubic_system, focus_system, config, monkeypatch):
     built = []
-    dense_output = DOP853.dense_output
+    dense_output = _ivp.DOP853.dense_output
 
     def counted(self):
         built.append(self.t)
         return dense_output(self)
 
-    monkeypatch.setattr(DOP853, "dense_output", counted)
+    monkeypatch.setattr(_ivp.DOP853, "dense_output", counted)
     for system in (cubic_system, focus_system):
         for r0 in (0.01, 0.05):
             r_end = polar_return_map(system, r0, config)
