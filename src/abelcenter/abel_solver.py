@@ -343,6 +343,8 @@ def displacement_scan(
         raise ValidationError("rho grid must be nonempty")
     if np.any(rhos <= 0):
         raise ValidationError("rho grid entries must be positive")
+    if np.any(np.diff(rhos) == 0):
+        raise ValidationError("rho grid entries must be distinct")
     _, _, returns = _solve_abel(problem, rhos, config, dense=False)
     ds = returns - rhos
 

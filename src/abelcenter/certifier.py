@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .abel_solver import DEFAULT_CONFIG, SolverConfig, integrate_abel
+from .abel_solver import DEFAULT_CONFIG, SolverConfig, _cumulative_simpson, integrate_abel
 from .errors import ValidationError
 from .reduction import AbelProblem, PlanarSystem, abel_from_planar
 from .reduction import _coefficient_values
@@ -292,7 +292,6 @@ def moment_conditions(
     are composite-Simpson integrals on its dense grid.  Initial values
     outside the admissible radius inherit the integrator's warning.
     """
-    from scipy.integrate import simpson
     rhos = np.asarray([float(r) for r in rho_grid])
     if rhos.size == 0:
         raise ValidationError("rho grid must be nonempty")
@@ -305,7 +304,7 @@ def moment_conditions(
         exact = True
     else:
         nodes = np.linspace(-a, a, config.grid_points)
-        g_integral = float(simpson(problem.g_values(nodes), x=nodes))
+        g_integral = float(_cumulative_simpson(problem.g_values(nodes), nodes)[-1])
         mean_g_zero = abs(g_integral) < _G_INTEGRAL_TOL
         exact = False
 
@@ -313,7 +312,7 @@ def moment_conditions(
     for i, rho in enumerate(rhos):
         traj = integrate_abel(problem, float(rho), config)
         integrand = problem.f_values(traj.nodes) * traj.values
-        moments[i] = simpson(integrand, x=traj.nodes)
+        moments[i] = _cumulative_simpson(integrand, traj.nodes)[-1]
     return MomentReport(
         rhos=rhos,
         f_moments=moments,

@@ -23,7 +23,8 @@ Config keys mirror the solver configuration (``rel_tol``, ``abs_tol``,
 ``max_steps``, ``picard_tol``, ``picard_max_iter``, ``ball_radius``,
 ``grid_points``) plus command inputs: ``rho_grid`` (scan), ``rho``
 (picard), ``r0`` and ``samples`` (crosscheck).  Values must be finite
-numbers, integers for the counts.  Command-line flags win over file
+numbers, integers for the counts, and ``rel_tol`` may not go below
+DOP853's floor of 100 machine epsilons.  Command-line flags win over file
 config and are checked by the same rules, whatever the command.  Exit
 status: 0 success, 2 validation failure, 3 solver failure.  Reports are
 deterministic: identical job plus config produces byte-identical files.
@@ -40,6 +41,7 @@ import sys
 from pathlib import Path
 
 from . import abel_solver, certifier, planar_solver
+from ._ivp import _RTOL_FLOOR
 from .abel_solver import SolverConfig
 from .errors import SolverError, ValidationError
 from .families import _half_width, cos2pit_problem, poly_problem
@@ -122,6 +124,10 @@ def _load_jobspec(args: argparse.Namespace) -> dict:
             ok = type(value) is int if key in _INT_CONFIG else _finite(value)
         if not ok:
             raise ValidationError(f"malformed config value {key}={value!r}")
+    if config.get("rel_tol", _RTOL_FLOOR) < _RTOL_FLOOR:
+        raise ValidationError(
+            f"rel_tol={config['rel_tol']!r} is below DOP853's floor 100*eps = {_RTOL_FLOOR}"
+        )
     return spec
 
 

@@ -84,12 +84,11 @@ def integrate_planar(
 
     The state is (x, y, theta) with theta' = (x y' - y x') / r^2, so the
     winding angle accumulates continuously.  Integration ends at the
-    event theta = theta(0) + 2pi, located on the dense output to 1e-12 in
-    angle.  An orbit reaching angular speed <= 0 raises
-    :class:`LeftMonotoneRegion`; escape beyond 10 * max(1, r0) raises
-    :class:`BlowUp`.
+    event theta = theta(0) + 2pi, located to 1e-12 in angle by Newton's
+    iteration on the interpolant of the step that crossed it.  An orbit
+    reaching angular speed <= 0 raises :class:`LeftMonotoneRegion`; escape
+    beyond 10 * max(1, r0) raises :class:`BlowUp`.
     """
-    from scipy.optimize import brentq
     x0, y0 = _as_float(x0, "x0"), _as_float(y0, "y0")
     r0 = math.hypot(x0, y0)
     if r0 == 0.0:
@@ -132,14 +131,14 @@ def integrate_planar(
         stop=lambda t, state: state[2] >= target,
     )
 
-    def angle_defect(t: float) -> float:
-        return float(dense(t)[2]) - target
-
-    t_star = brentq(angle_defect, 0.0, t_end, xtol=1e-13, maxiter=200)
-    if abs(angle_defect(t_star)) > _SECTION_TOL:
-        raise SolverError(
-            f"section crossing located only to {abs(angle_defect(t_star)):.3e} in angle"
-        )
+    # stop brackets the crossing in the last step: Newton on its interpolant
+    last, t_star = dense.interpolants[-1], t_end
+    for _ in range(4):
+        state = last(t_star)
+        t_star -= (state[2] - target) / rhs(t_star, state)[2]
+    defect = abs(last(t_star)[2] - target)
+    if not (last.t_old <= t_star <= t_end and defect <= _SECTION_TOL):
+        raise SolverError(f"section crossing located only to {defect:.3e} in angle")
     times = np.linspace(0.0, t_star, config.grid_points)
     states = dense(times)
     return PlanarTrajectory(times=times, xs=states[0], ys=states[1], thetas=states[2])

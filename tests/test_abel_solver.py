@@ -482,6 +482,12 @@ def test_scan_rejects_bad_grids(t_problem):
         displacement_scan(t_problem, [0.01, -0.02])
 
 
+def test_scan_rejects_repeated_rhos(focus_problem):
+    # a least-squares fit through one distinct rho is meaningless
+    with pytest.raises(ValidationError, match="rho grid entries must be distinct"):
+        displacement_scan(focus_problem, [0.02, 0.01, 0.02])
+
+
 def test_scan_classification_is_tolerance_stable(cubic_problem):
     grids = [0.005, 0.01, 0.02]
     coarse = displacement_scan(cubic_problem, grids, SolverConfig(rel_tol=1e-10))

@@ -18,6 +18,7 @@ from abelcenter import (
     HomogPoly,
     Parity,
     PlanarSystem,
+    SolverConfig,
     TrigPoly,
     ValidationError,
     Verdict,
@@ -25,6 +26,7 @@ from abelcenter import (
     classify_abel,
     classify_planar,
     cos2pit_problem,
+    integrate_abel,
     moment_conditions,
     poly_problem,
     proportional_to_cube,
@@ -440,6 +442,21 @@ def test_cubic_moments_vanish(cubic_problem, config):
     assert report.g_integral == 0.0
     assert report.g_integral_exact
     assert report.max_f_moment < 1e-8
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 2048, 2049])
+def test_moment_integrals_are_scipys_simpson(nodes):
+    from scipy.integrate import simpson
+
+    problem, rhos = poly_problem([1, 1], [1, 0, 3]), [0.01, 0.02]
+    config = SolverConfig(grid_points=nodes)
+    report = moment_conditions(problem, rhos, config)
+    grid = np.linspace(-1.0, 1.0, nodes)
+    assert report.g_integral == pytest.approx(simpson(problem.g_values(grid), x=grid), rel=1e-13)
+    for moment, rho in zip(report.f_moments, rhos):
+        traj = integrate_abel(problem, rho, config)
+        expected = simpson(problem.f_values(traj.nodes) * traj.values, x=traj.nodes)
+        assert moment == pytest.approx(expected, rel=1e-13)
 
 
 def test_constant_g_fails_mean_condition():

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelcenter import PlanarSystem, TrigPoly, abel_from_planar, cli
+from abelcenter import PlanarSystem, TrigPoly, _ivp, abel_from_planar, cli
 from abelcenter.cli import main
 
 CUBIC_PAYLOAD = {"n": 3, "P": ["0", "2", "0", "0"], "Q": ["0", "0", "1", "0"]}
@@ -448,6 +450,40 @@ def test_non_finite_flags_exit_2(tmp_path, flags):
 
 
 @pytest.mark.parametrize(
+    "config,flags", [({"rel_tol": 1e-20}, ()), ({}, ("--rel-tol", "1e-15"))], ids=["file", "flag"]
+)
+def test_rel_tol_below_the_dop853_floor_exits_2(tmp_path, capsys, config, flags):
+    # DOP853 would raise it to the floor while the reports name the requested value
+    spec = {"kind": "planar", "command": "scan", "payload": CUBIC_PAYLOAD, "config": config}
+    code, out = run_cli(tmp_path, spec, "out", *flags)
+    assert code == 2
+    assert f"below DOP853's floor 100*eps = {_ivp._RTOL_FLOOR}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rel_tol_at_the_dop853_floor_runs_without_warning(tmp_path, capsys):
+    config = {"rel_tol": float(_ivp._RTOL_FLOOR), "rho_grid": [0.005, 0.01]}
+    spec = {"kind": "planar", "command": "scan", "payload": CUBIC_PAYLOAD, "config": config}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, spec)
+    assert code == 0 and (out / "scan.json").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_repeated_rho_grid_exits_2_without_a_fit(tmp_path, capsys):
+    focus = {"n": 3, "P": ["1", "0", "0", "0"], "Q": ["0", "0", "0", "0"]}
+    spec = {"kind": "planar", "command": "scan", "payload": focus,
+            "config": {"rho_grid": [0.01, 0.01, 0.01]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RankWarning from a one-point fit
+        code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert "rho grid entries must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,flags",
     [
         ("certify", ("--rho-grid", "abc")),
@@ -654,3 +690,41 @@ def test_numeric_commands_leave_scipy_unimported(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "scipy modules: []" in proc.stdout.splitlines()
+
+
+_LIBRARY_PROBE = """
+import sys
+from abelcenter import (
+    HomogPoly, PlanarSystem, abel_from_planar, integrate_planar, moment_conditions, poly_problem,
+)
+system = PlanarSystem(n=3, P=HomogPoly((0, 2, 0, 0)), Q=HomogPoly((0, 0, 1, 0)))
+integrate_planar(system, 0.05, 0.0)
+moment_conditions(abel_from_planar(system), [0.01])  # g integrated exactly
+moment_conditions(poly_problem([0, 1], [1, 1]), [0.01])  # g integrated by Simpson's rule
+print("scipy modules:", sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_planar_orbits_and_moments_leave_scipy_unimported():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_PROBE],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy modules: []" in proc.stdout.splitlines()
+
+
+def test_no_package_module_imports_scipy():
+    # _ivp locates scipy's tableau file with importlib.util.find_spec, not an import
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -13,6 +13,7 @@ from abelcenter import (
     HomogPoly,
     LeftMonotoneRegion,
     PlanarSystem,
+    SolverError,
     ValidationError,
     crosscheck_cherkas,
     displacement_scan,
@@ -257,6 +258,40 @@ def test_non_finite_state_raises_blowup(nan_steps, cubic_system, solve):
 def test_scan_guard_names_the_rho_before_the_core_check(nan_steps, cubic_problem):
     with pytest.raises(BlowUp, match=r"rho=0\.01$"):
         displacement_scan(cubic_problem, [0.02, 0.01])
+
+
+class _NaNAngleDOP853(DOP853):
+    """Interpolants whose angle component is NaN: the section search cannot converge."""
+
+    def dense_output(self):
+        interpolant = super().dense_output()
+        interpolant.F = interpolant.F.copy()
+        interpolant.F[:, 2] = np.nan
+        return interpolant
+
+
+def test_nan_section_defect_raises_solver_error(cubic_system, monkeypatch):
+    monkeypatch.setattr(_ivp, "DOP853", _NaNAngleDOP853)
+    with pytest.raises(SolverError, match="section crossing located only to nan"):
+        integrate_planar(cubic_system, 0.05, 0.0)
+
+
+def test_section_crossing_lies_in_the_last_step(cubic_system, focus_system, config, monkeypatch):
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(_ivp.solve_dense(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(planar_solver, "solve_dense", recorded)
+    for system in (cubic_system, focus_system, *parity_corpus(6)):
+        for x0, y0 in ((0.05, 0.0), (0.02, -0.07)):
+            traj = integrate_planar(system, x0, y0, config)
+            dense, t_end, _ = solves.pop()
+            t_star = traj.times[-1]
+            assert dense.interpolants[-1].t_old <= t_star <= t_end
+            target = math.atan2(y0, x0) + TWO_PI
+            assert abs(traj.thetas[-1] - target) <= planar_solver._SECTION_TOL
 
 
 def test_origin_start_is_rejected(cubic_system):
