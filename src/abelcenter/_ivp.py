@@ -85,7 +85,11 @@ class DOP853:
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 8))
         self.h_abs = min(100 * h0, h1, interval_length, max_step)
-        self.K_extended = np.empty((self.n_extended, self.y.size))
+        self.K_extended = K = np.empty((self.n_extended, self.y.size))
+        # views built once: (s, K[:s].T, a_s, c_s) of each stage, and K[:n].T for y_new
+        self._step_stages, self._dense_stages = ([(s, K[:s].T, a, c) for s, a, c in stages]
+                                                 for stages in (self.stages, self.extra_stages))
+        self._K_b = K[:self.n_stages].T
 
     def fun(self, t, y):
         self.nfev += 1
@@ -101,8 +105,8 @@ class DOP853:
     def _stages(self, stages, t, y, h):
         """K[s] = f(t + c_s h, y + h sum_j a_sj K[j]) for each of ``stages``."""
         K, fun = self.K_extended, self.fun
-        for s, a, c in stages:
-            K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+        for s, K_s, a, c in stages:
+            K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
 
     def _step_impl(self):
         t, y, direction = self.t, self.y, self.direction
@@ -119,8 +123,8 @@ class DOP853:
             h_abs = np.abs(h)
             K = self.K_extended[:self.n_stages + 1]  # scipy's rk_step
             K[0] = self.f
-            self._stages(self.stages, t, y, h)
-            y_new = y + h * np.dot(K[:-1].T, self.B)
+            self._stages(self._step_stages, t, y, h)
+            y_new = y + h * np.dot(self._K_b, self.B)
             K[-1] = f_new = self.fun(t + h, y_new)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self._estimate_error_norm(K, h, scale)
@@ -145,7 +149,7 @@ class DOP853:
     def dense_output(self):
         """The interpolant over the last step, after three more stages."""
         K, h, y_old = self.K_extended, self.h_previous, self.y_old
-        self._stages(self.extra_stages, self.t_old, y_old, h)
+        self._stages(self._dense_stages, self.t_old, y_old, h)
         F, delta_y = np.empty((self.n_interp, y_old.size)), self.y - y_old
         F[0], F[1], F[2] = delta_y, h * K[0] - delta_y, 2 * delta_y - h * (self.f + K[0])
         F[3:] = h * np.dot(self.D, K)

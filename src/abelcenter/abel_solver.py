@@ -44,7 +44,7 @@ from .errors import (
     NotContractive,
     ValidationError,
 )
-from .reduction import AbelProblem
+from .reduction import AbelProblem, _pair_evaluator
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -170,10 +170,11 @@ def _step_cap(problem: AbelProblem) -> float:
 
 def _abel_rhs(problem: AbelProblem):
     """The right-hand side (f(t) x + g(t)) x^2, for a scalar or vector state."""
-    f_ev, g_ev = problem.evaluators()
+    fg = _pair_evaluator(problem.f, problem.g)
 
     def rhs(t, y):
-        return (f_ev(t) * y + g_ev(t)) * y * y
+        f, g = fg(t)
+        return (f * y + g) * y * y
 
     return rhs
 

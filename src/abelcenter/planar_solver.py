@@ -35,7 +35,7 @@ from .reduction import (
     cherkas_forward,
     cherkas_inverse,
     compute_AB,
-    _scalar_evaluator,
+    _pair_evaluator,
 )
 
 __all__ = [
@@ -150,18 +150,17 @@ def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
     r0 = _as_float(r0, "r0")
     if r0 < 0:
         raise ValidationError("the starting radius must be nonnegative")
-    a_ev = _scalar_evaluator(A)
-    b_ev = _scalar_evaluator(B)
+    ab = _pair_evaluator(A, B)
     escape = 10.0 * max(1.0, r0)
 
     def rhs(theta, y):
-        r = y[0]
-        den = 1.0 + b_ev(theta) * r ** (n - 1)
+        (a, b), r = ab(theta), y[0]
+        den = 1.0 + b * r ** (n - 1)
         if den <= 0.0:
             raise LeftMonotoneRegion(
                 f"angular speed {den:.6g} <= 0 at theta={theta:.6g}, r={r:.6g}"
             )
-        return (a_ev(theta) * r**n / den,)
+        return (a * r**n / den,)
 
     def guard(theta, y):
         if y[0] > escape:

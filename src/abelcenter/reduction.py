@@ -36,7 +36,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import OutsideMonotoneRegion, OutsideTransformImage, ValidationError
-from .trigpoly import Parity, TrigPoly, _frac, _mul_ints, _parity, _scaled
+from .trigpoly import Parity, TrigPoly, _angle_addition, _frac, _mul_ints, _parity, _scaled
 
 __all__ = [
     "HomogPoly",
@@ -275,7 +275,7 @@ class AbelProblem:
         return _coefficient_values(self.g, ts)
 
     def evaluators(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Fast scalar evaluators for the integrator's right-hand side."""
+        """Fast scalar evaluators of f and g, one function each."""
         return _scalar_evaluator(self.f), _scalar_evaluator(self.g)
 
 
@@ -296,6 +296,25 @@ def _scalar_evaluator(coef: Coefficient) -> Callable[[float], float]:
     if isinstance(coef, TrigPoly):
         return coef.scalar_evaluator()
     return lambda t: float(coef(t))
+
+
+def _pair_evaluator(p: Coefficient, q: Coefficient) -> Callable[[float], tuple[float, float]]:
+    """t -> (p(t), q(t)), one angle-addition run for two trig polynomials.  Its memo of the
+    last t serves DOP853's last stage (c = 1) and end slope at t + h.  Build one per solve."""
+    if isinstance(p, TrigPoly) and isinstance(q, TrigPoly):
+        ev = _angle_addition(p, q)
+    else:
+        p_ev, q_ev = _scalar_evaluator(p), _scalar_evaluator(q)
+        ev = lambda t: (p_ev(t), q_ev(t))
+    last_t, last = math.nan, None
+
+    def pair(t):
+        nonlocal last_t, last
+        if t != last_t:
+            last_t, last = t, ev(t)
+        return last
+
+    return pair
 
 
 def abel_from_planar(system: PlanarSystem) -> AbelProblem:
@@ -332,8 +351,7 @@ def cherkas_forward(r: float, theta: float, B: Coefficient, n: int) -> float:
     if n < 2:
         raise ValidationError("degree must be >= 2")
     u = r ** (n - 1)
-    b = _scalar_evaluator(B)(theta)
-    denom = 1.0 + b * u
+    denom = 1.0 + _scalar_evaluator(B)(theta) * u
     if denom <= 0.0:
         raise OutsideMonotoneRegion(
             f"1 + B({theta:.6g}) * r^{n - 1} = {denom:.6g} <= 0 at r={r:.6g}"
@@ -351,8 +369,7 @@ def cherkas_inverse(gamma: float, theta: float, B: Coefficient, n: int) -> float
         raise ValidationError("degree must be >= 2")
     if gamma < 0:
         raise OutsideTransformImage(f"gamma={gamma:.6g} is negative")
-    b = _scalar_evaluator(B)(theta)
-    denom = 1.0 - b * gamma
+    denom = 1.0 - _scalar_evaluator(B)(theta) * gamma
     if denom <= 0.0:
         raise OutsideTransformImage(
             f"1 - B({theta:.6g}) * gamma = {denom:.6g} <= 0 at gamma={gamma:.6g}"

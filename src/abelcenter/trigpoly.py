@@ -270,24 +270,8 @@ class TrigPoly:
         return np.full_like(ts, self.scalar_evaluator()(ts, np.cos, np.sin))
 
     def scalar_evaluator(self) -> Callable[[float], float]:
-        """The evaluator of package code: cos(kt) and sin(kt) by angle addition
-        from one cos/sin pair, in plain floats (tiny numpy arrays cost more
-        than the arithmetic), or elementwise given ``np.cos`` and ``np.sin``.
-        Agrees with :meth:`eval` up to rounding."""
-        a, b = self._floats
-        a0, pairs = a[0], tuple(zip(a[1:], b[1:]))
-
-        def ev(t: float, cos=math.cos, sin=math.sin) -> float:
-            c1 = cos(t)
-            s1 = sin(t)
-            ck, sk = c1, s1
-            total = a0
-            for ak, bk in pairs:
-                total += ak * ck + bk * sk
-                ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
-            return total
-
-        return ev
+        """The evaluator of package code, :func:`_angle_addition` of one series."""
+        return _angle_addition(self)
 
     # ------------------------------------------------------------------
     # serialization / display
@@ -317,6 +301,31 @@ class TrigPoly:
                 parts.append(f"{self.sin[k]}*sin({k}t)")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _angle_addition(p: TrigPoly, q: TrigPoly | None = None) -> Callable:
+    """t -> p(t), or (p(t), q(t)) given q, by angle addition from one cos/sin pair in
+    plain floats, or elementwise given ``np.cos`` and ``np.sin``.  Two series share the
+    recurrence up to the lower degree, then the longer goes on alone: same floats."""
+    rows = p._floats, ((0.0,), (0.0,)) if q is None else q._floats
+    order = -1 if len(rows[1][0]) > len(rows[0][0]) else 1  # the longer series first
+    (a, b), (qa, qb) = rows[::order]
+    shared, tail = tuple(zip(a[1:], b[1:], qa[1:], qb[1:])), tuple(zip(a[len(qa):], b[len(qa):]))
+
+    def ev(t, cos=math.cos, sin=math.sin):
+        c1, s1 = cos(t), sin(t)
+        ck, sk = c1, s1
+        total, other = a[0], qa[0]
+        for ak, bk, qak, qbk in shared:
+            total += ak * ck + bk * sk
+            other += qak * ck + qbk * sk
+            ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
+        for ak, bk in tail:
+            total += ak * ck + bk * sk
+            ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
+        return total if q is None else (total, other)[::order]
+
+    return ev
 
 
 def proportional_to_cube(h: TrigPoly, g: TrigPoly) -> Fraction | None:

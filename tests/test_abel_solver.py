@@ -46,9 +46,9 @@ from abelcenter import (
     rho_admissible_bound,
     trajectory_to_csv,
 )
-from abelcenter import _ivp
+from abelcenter import _ivp, abel_solver
 from abelcenter._ivp import MaxNormDOP853, solve_dense
-from abelcenter.abel_solver import _cumulative_simpson
+from abelcenter.abel_solver import _abel_rhs, _cumulative_simpson
 from conftest import make_zero_radial
 
 
@@ -835,3 +835,57 @@ def test_report_csv_format(t_problem, config):
     assert rho == 0.01
     assert pi == pytest.approx(report.returns[0])
     assert d == pytest.approx(report.displacements[0])
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_abel_rhs_is_the_two_evaluator_formula_bit_for_bit(m, cubic_system):
+    rng = np.random.default_rng(m)
+    P, Q = (HomogPoly(tuple(rng.integers(-4, 5, 7).tolist())) for _ in "PQ")
+    problems = [abel_from_planar(cubic_system), abel_from_planar(PlanarSystem(n=6, P=P, Q=Q)),
+                cos2pit_problem([0.5, 1, 0.3], [0.2, 1, 0, 0.5])]
+    for problem in problems:
+        rhs, (f_ev, g_ev) = _abel_rhs(problem), problem.evaluators()
+        for t in rng.uniform(-math.pi, math.pi, 50).tolist():
+            y = rng.uniform(-0.1, 0.1, m)
+            want = (f_ev(t) * y + g_ev(t)) * y * y
+            assert np.array_equal(rhs(t, y), want)
+            assert np.array_equal(rhs(t, y), want)  # the memo's answer at the same t
+
+
+def test_return_map_evaluates_coefficients_once_per_stage_time(config, monkeypatch):
+    # DOP853's last stage (c = 1) and the end slope share t + h, so the RHS
+    # runs 12 times per step attempt on 11 distinct times; nfev is unchanged
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(t):
+            calls[name] += 1
+            return fn(t)
+
+        return wrapper
+
+    base = cos2pit_problem([0.5, 1, 0.3], [0.2, 1, 0, 0.5])
+    problem = dataclasses.replace(base, f=counted("f", base.f), g=counted("g", base.g))
+    times, solves = [], []
+
+    def recorded(rhs, *args, **kwargs):
+        def timed(t, y):
+            times.append(t)
+            return rhs(t, y)
+
+        solves.append((args, kwargs))
+        return _ivp.solve_dense(timed, *args, **kwargs)
+
+    monkeypatch.setattr(abel_solver, "solve_dense", recorded)
+    d = return_map(problem, 0.05, config)
+    [(args, kwargs)] = solves
+    assert calls["f"] == calls["g"] == len(set(times)) < len(times)
+    assert sum(a != b for a, b in zip(times, times[1:])) + 1 == len(set(times))
+
+    def plain(t, y):  # the two evaluators, no memo
+        plain.nfev += 1
+        return (base.f(t) * y + base.g(t)) * y * y
+
+    plain.nfev = 0
+    _, _, y_end = _ivp.solve_dense(plain, *args, **kwargs)
+    assert plain.nfev == len(times) and y_end[0] == d

@@ -347,3 +347,22 @@ def test_planar_csv_format(rotation_system, config):
     t0, x0, y0, th0 = (float(v) for v in lines[1].split(","))
     assert (t0, x0, y0) == (0.0, 0.2, 0.0)
     assert th0 == pytest.approx(0.0, abs=1e-15)
+
+
+def test_polar_rhs_is_the_two_evaluator_formula_bit_for_bit(cubic_system, config, monkeypatch):
+    rhss = []
+
+    def recorded(rhs, *args, **kwargs):
+        rhss.append(rhs)
+        return _ivp.solve_dense(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(planar_solver, "solve_dense", recorded)
+    rng = np.random.default_rng(7)
+    for system in (cubic_system, *parity_corpus(4)):
+        A, B = compute_AB(system)
+        a_ev, b_ev = reduction._scalar_evaluator(A), reduction._scalar_evaluator(B)
+        _polar_solution(system.n, A, B, 0.05, config, dense=False)
+        rhs, n = rhss.pop(), system.n
+        for theta, r in zip(rng.uniform(0.0, TWO_PI, 50).tolist(), rng.uniform(0.0, 0.1, 50)):
+            want = (a_ev(theta) * r**n / (1.0 + b_ev(theta) * r ** (n - 1)),)
+            assert rhs(theta, np.array([r])) == rhs(theta, np.array([r])) == want

@@ -464,6 +464,14 @@ def test_scalar_evaluators_match_exact_coefficients(n):
     for coef, ev in zip((problem.f, problem.g), problem.evaluators()):
         tol = 1e-13 * coef.linf_bound()
         assert max(abs(ev(t) - coef.eval(t)) for t in ts) <= tol
+    # the integrators evaluate each pair in one run, to the same floats
+    A, B = problem.origin.A, problem.origin.B
+    f_ev, g_ev = problem.evaluators()
+    a_ev, b_ev = reduction._scalar_evaluator(A), reduction._scalar_evaluator(B)
+    fg, ab = reduction._pair_evaluator(problem.f, problem.g), reduction._pair_evaluator(A, B)
+    for t in ts.tolist():
+        assert fg(t) == (f_ev(t), g_ev(t))
+        assert ab(t) == (a_ev(t), b_ev(t))
 
 
 def test_sampling_a_degree_34_coefficient_needs_no_angle_matrix():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -44,3 +45,14 @@ def test_crosscheck_script_agrees_across_the_three_routes():
     for row in rows:
         defect, gap = (float(v) for v in row[22:].split())
         assert defect < 1e-9 and gap < 1e-9
+
+
+def test_compare_cli_outputs_finds_a_tree_identical_to_itself(capsys):
+    # in-process, so the only subprocesses are the script's two workers
+    spec = importlib.util.spec_from_file_location(
+        "compare_cli_outputs", ROOT / "scripts" / "compare_cli_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    src = str(ROOT / "src")
+    assert script.main([src, src]) == 0
+    assert capsys.readouterr().out.splitlines() == ["63 jobs: 63 identical, 0 different"]

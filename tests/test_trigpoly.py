@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import abelcenter.reduction
 import abelcenter.trigpoly
 from abelcenter import Parity, TrigPoly, proportional_to_cube
+from abelcenter.trigpoly import _angle_addition
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -322,6 +323,46 @@ def test_eval_array_symmetry_is_exact(p, ts):
     odd = TrigPoly([0] * len(p.cos), p.sin)
     assert np.array_equal(even.eval_array(-ts), even.eval_array(ts))
     assert np.array_equal(odd.eval_array(-ts), -odd.eval_array(ts))
+
+
+def _recurrence(p: TrigPoly, t: float) -> float:
+    """p(t) by the evaluators' recurrence, one series at a time: cos(kt), sin(kt)
+    by angle addition from cos t, sin t, each term added in order of k."""
+    a, b = p._floats
+    c1, s1 = math.cos(t), math.sin(t)
+    ck, sk, total = c1, s1, a[0]
+    for ak, bk in zip(a[1:], b[1:]):
+        total += ak * ck + bk * sk
+        ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
+    return total
+
+
+def _dense_series(degree: int, seed: int) -> TrigPoly:
+    rng = np.random.default_rng(seed)
+    cos, sin = (rng.integers(-9, 10, degree + 1).tolist() for _ in "cs")
+    cos[-1] = cos[-1] or 1
+    return TrigPoly([Fraction(c, 7) for c in cos], [0, *(Fraction(v, 3) for v in sin[1:])])
+
+
+@pytest.mark.parametrize("p_degree, q_degree",
+                         [(3, 8), (8, 3), (6, 6), (None, 5), (5, None), (None, None)])
+def test_two_series_in_one_run_are_the_one_series_floats(p_degree, q_degree):
+    # g's harmonics are a prefix of f's in the reduction; A and B have equal degrees
+    p, q = (TrigPoly.zero() if d is None else _dense_series(d, i)
+            for i, d in enumerate((p_degree, q_degree)))
+    pair, p_ev, q_ev = _angle_addition(p, q), p.scalar_evaluator(), q.scalar_evaluator()
+    ts = np.concatenate([np.linspace(-50.0, 50.0, 2001), [0.0, -0.0, math.pi, 49.999]])
+    for t in ts.tolist():
+        assert pair(t) == (p_ev(t), q_ev(t)) == (_recurrence(p, t), _recurrence(q, t))
+    on_array = pair(ts, np.cos, np.sin)
+    for values, series in zip(on_array, (p, q)):
+        assert np.array_equal(np.full_like(ts, values), series.eval_array(ts))
+
+
+@given(trigpolys(max_degree=8), trigpolys(max_degree=8), st.floats(-50, 50))
+def test_pair_evaluator_matches_the_recurrence(p, q, t):
+    assert _angle_addition(p, q)(t) == (_recurrence(p, t), _recurrence(q, t))
+    assert p.scalar_evaluator()(t) == _recurrence(p, t)
 
 
 # ----------------------------------------------------------------------
