@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the golden CLI jobs on two source trees and compare what they produce.
+"""Run the golden CLI jobs and library calls on two source trees and compare what they produce.
 
 Usage::
 
@@ -11,7 +11,11 @@ from it and runs every golden job in-process through ``cli.main``: each
 planar system under ``tests/golden/`` with each of the five commands, and
 each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
-output and the exit status are compared.  Each difference is printed; the
+output and the exit status are compared.  Two library paths that no command
+runs are compared too, for each golden planar system (18 more jobs, 81 in
+all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
+and the ``repr`` of ``polar_return_map(system, 0.05)``, or, where either
+raises, the exception's type and message.  Each difference is printed; the
 exit status is 1 if there is any, else 0.
 """
 
@@ -30,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PLANAR_COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 ABEL_COMMANDS = ("certify", "scan", "picard")
+LIBRARY_CALLS = ("integrate_planar", "polar_return_map")
 
 
 def jobs() -> list[tuple[str, dict]]:
@@ -47,6 +52,33 @@ def jobs() -> list[tuple[str, dict]]:
     return out
 
 
+def library_calls() -> list[tuple[str, str, dict]]:
+    """(name, function, planar payload) of every library job, in a fixed order."""
+    cases = sorted(p for p in (ROOT / "tests" / "golden").iterdir() if p.is_dir())
+    return [(f"golden/{case.name}/{function}", function,
+             json.loads((case / "system.json").read_text()))
+            for case in cases for function in LIBRARY_CALLS]
+
+
+def call(function: str, payload: dict, out: Path):
+    """One library job: integrate_planar writes its arrays to ``out``, polar_return_map
+    returns its repr; either returns the exception it raises as a string."""
+    from abelcenter import planar_solver
+    from abelcenter.reduction import PlanarSystem
+
+    try:
+        system = PlanarSystem.from_json_dict(payload)
+        if function == "polar_return_map":
+            return repr(planar_solver.polar_return_map(system, 0.05))
+        traj = planar_solver.integrate_planar(system, 0.05, 0.0)
+        out.mkdir()
+        for name in ("times", "xs", "ys", "thetas"):
+            (out / f"{name}.bin").write_bytes(getattr(traj, name).tobytes())
+        return 0
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def work(src: str, out: Path) -> None:
     """Run every job with the package under ``src``; write outputs and results.json to ``out``."""
     sys.path.insert(0, src)
@@ -54,6 +86,10 @@ def work(src: str, out: Path) -> None:
 
     os.chdir(out)  # relative paths, so that no message depends on the tree
     results = {}
+    for name, function, payload in library_calls():
+        job = Path("jobs", name)
+        job.mkdir(parents=True)
+        results[name] = {"status": call(function, payload, job / "out"), "stdout": ""}
     for name, spec in jobs():
         job = Path("jobs", name)
         job.mkdir(parents=True)

@@ -12,7 +12,10 @@ can hold each component of a vector state to the tolerances on its own.
 
 :class:`DOP853` performs scipy 1.17's arithmetic expression for expression
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5-II.6), so its steps,
-states, ``nfev`` and dense values are bit-identical to scipy's.  Its Butcher
+states, ``nfev`` and dense values are bit-identical to scipy's: the same IEEE
+operations in the same order, with the step's scalars held as Python floats
+(cheaper than numpy's, rounded alike), 1-d norms as sqrt(dot(x, x)) the way
+``np.linalg.norm`` takes them, and libm's ``pow`` on both sides.  Its Butcher
 tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by file
 location when the first solver is built: that file imports only numpy,
 while importing it by name runs ``scipy/integrate/__init__``, ~0.6 s of
@@ -68,32 +71,33 @@ class DOP853:
         if self.n_stages is None:
             _load_tableau(__class__)  # this class, whatever the module name is rebound to
         self._rhs, self.nfev, self.status, self.t_old = fun, 0, "running", None
-        self.t, self.y, self.t_bound = t0, np.asarray(y0, dtype=float), t_bound
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.t, self.y, self.t_bound = float(t0), np.asarray(y0, dtype=float), float(t_bound)
+        self.direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
         if np.any(rtol < _RTOL_FLOOR):
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {_RTOL_FLOOR})`.", stacklevel=3)
             rtol = np.maximum(rtol, _RTOL_FLOOR)
-        self.max_step, self.rtol, self.atol = max_step, rtol, atol
-        self.f = f0 = self.fun(t0, self.y)
+        self.max_step, self.rtol, self.atol = float(max_step), rtol, atol
+        self.f = f0 = self.fun(self.t, self.y)
         interval_length = abs(t_bound - t0)  # scipy's select_initial_step and RMS norm
         scale = atol + np.abs(self.y) * rtol
         d0, d1 = (np.linalg.norm(v / scale) / v.size ** 0.5 for v in (self.y, f0))
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
-        f1 = self.fun(t0 + h0 * self.direction, self.y + h0 * self.direction * f0)
+        h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length))
+        f1 = self.fun(self.t + h0 * self.direction, self.y + h0 * self.direction * f0)
         d2 = np.linalg.norm((f1 - f0) / scale) / f1.size ** 0.5 / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 8))
-        self.h_abs = min(100 * h0, h1, interval_length, max_step)
+        self.h_abs = float(min(100 * h0, h1, interval_length, max_step))
         self.K_extended = K = np.empty((self.n_extended, self.y.size))
-        # views built once: (s, K[:s].T, a_s, c_s) of each stage, and K[:n].T for y_new
-        self._step_stages, self._dense_stages = ([(s, K[:s].T, a, c) for s, a, c in stages]
+        # views built once: (s, K[:s].T, a_s, c_s) of each stage, K[:n].T for y_new, K[:n+1]
+        self._step_stages, self._dense_stages = ([(s, K[:s].T, a, float(c)) for s, a, c in stages]
                                                  for stages in (self.stages, self.extra_stages))
-        self._K_b = K[:self.n_stages].T
+        self._K_b, self._K_step = K[:self.n_stages].T, K[:self.n_stages + 1]
 
     def fun(self, t, y):
         self.nfev += 1
-        return np.asarray(self._rhs(t, y), dtype=float)
+        f = self._rhs(t, y)
+        return f if type(f) is np.ndarray and f.dtype == float else np.asarray(f, dtype=float)
 
     def step(self):
         """One accepted step; returns the failure message or None."""
@@ -110,7 +114,7 @@ class DOP853:
 
     def _step_impl(self):
         t, y, direction = self.t, self.y, self.direction
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
         step_rejected = False
         while True:
@@ -120,8 +124,8 @@ class DOP853:
             if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            K = self.K_extended[:self.n_stages + 1]  # scipy's rk_step
+            h_abs = abs(h)
+            K = self._K_step  # scipy's rk_step
             K[0] = self.f
             self._stages(self._step_stages, t, y, h)
             y_new = y + h * np.dot(self._K_b, self.B)
@@ -141,10 +145,11 @@ class DOP853:
 
     def _estimate_error_norm(self, K, h, scale):
         err5, err3 = np.dot(K.T, self.E5) / scale, np.dot(K.T, self.E3) / scale
-        err5_norm_2, err3_norm_2 = np.linalg.norm(err5)**2, np.linalg.norm(err3)**2
+        err5_norm_2, err3_norm_2 = (math.sqrt(float(e.dot(e)))**2 for e in (err5, err3))
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
-        return np.abs(h) * err5_norm_2 / np.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
+        denom = math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
+        return abs(h) * err5_norm_2 / denom if denom else math.nan  # numpy's 0 / 0
 
     def dense_output(self):
         """The interpolant over the last step, after three more stages."""
@@ -171,7 +176,7 @@ class MaxNormDOP853(DOP853):
         err3 = np.dot(K.T, self.E3) / scale
         err5_2 = err5 * err5
         denom = np.sqrt(err5_2 + 0.01 * (err3 * err3))
-        ratio = np.divide(err5_2, denom, out=np.zeros_like(denom), where=denom > 0)
+        ratio = np.divide(err5_2, denom, out=np.zeros(denom.shape), where=denom > 0)
         return abs(h) * float(ratio.max())
 
 

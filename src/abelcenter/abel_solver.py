@@ -205,9 +205,9 @@ def _solve_abel(
     escape = 10.0 * config.ball_radius
 
     def guard(t, y):
-        escaped = ~(np.abs(y) <= escape)  # also catches NaN
-        if escaped.any():
-            rho = rhos[np.argmax(escaped)]
+        within = np.abs(y) <= escape  # False at NaN too
+        if not within.all():
+            rho = rhos[np.argmin(within)]
             raise BlowUp(
                 f"|x({t:.6g})| exceeded {escape:.3g} starting from rho={rho:.6g}"
             )

@@ -304,6 +304,55 @@ def test_solve_dense_runs_as_on_scipys_classes(monkeypatch, rel_tol, per_compone
     assert np.array_equal(ours[4], theirs[4])
 
 
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_rms_error_estimate_is_scipys_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    ours = _ivp.DOP853(lambda t, y: -y, 0.0, np.ones(m), 1.0)
+    theirs = DOP853(lambda t, y: -y, 0.0, np.ones(m), 1.0)
+    for _ in range(200):
+        K = rng.normal(size=(DOP853.n_stages + 1, m)) * 10.0 ** rng.uniform(-8, 2, size=m)
+        h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 0))  # as the step passes it
+        scale = 10.0 ** rng.uniform(-12, -8, size=m)
+        error_norm = ours._estimate_error_norm(K, h, scale)
+        assert type(error_norm) is float
+        assert error_norm == theirs._estimate_error_norm(K, h, scale)
+    K = np.zeros((DOP853.n_stages + 1, m))
+    assert ours._estimate_error_norm(K, 0.1, np.ones(m)) == 0.0
+    assert theirs._estimate_error_norm(K, 0.1, np.ones(m)) == 0.0
+    # |e5|^2 and 0.01 |e3|^2 underflow to 0 while |e3|^2 does not: numpy's 0 / 0
+    K[0, 0] = 1e-162 / ours.E5[0]
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(ours._estimate_error_norm(K, 0.1, np.ones(m)))
+        assert math.isnan(theirs._estimate_error_norm(K, 0.1, np.ones(m)))
+
+
+@pytest.mark.parametrize("per_component", [False, True], ids=["rms", "max"])
+@pytest.mark.parametrize(
+    "m, t_bound", [(1, np.float64(1.0)), (8, np.float64(1.0)), (3, np.inf)], ids=["m1", "m8", "inf"]
+)
+def test_step_loop_scalars_are_python_floats(monkeypatch, m, t_bound, per_component):
+    # numpy scalars cost several times a float's arithmetic at every stage
+    solvers, times = [], []
+    for name in ("DOP853", "MaxNormDOP853"):
+        recorded = type(name, (getattr(_ivp, name),), {
+            "__init__": lambda self, *args, **kwargs: (
+                super(type(self), self).__init__(*args, **kwargs), solvers.append(self))[0]})
+        monkeypatch.setattr(_ivp, name, recorded)
+
+    def rhs(t, y):
+        times.append(t)
+        return -y + np.cos(3.0 * t)
+
+    config = SolverConfig(rel_tol=1e-10, abs_tol=1e-12)
+    stop = (lambda t, y: t >= 2.0) if t_bound == np.inf else None
+    _, t_end, _ = solve_dense(rhs, np.float64(-1.0), np.linspace(1.0, 2.0, m), t_bound, config,
+                              per_component=per_component, stop=stop,
+                              on_step=lambda t, y: times.append(t))
+    [solver] = solvers
+    assert len(times) > 100 and {type(t) for t in times} == {float}
+    assert all(type(v) is float for v in (t_end, solver.t, solver.h_abs, solver.t_old))
+
+
 @pytest.mark.parametrize("n", [8, 9, 2048, 2049])
 def test_cumulative_simpson_is_scipys_bit_for_bit(n):
     from scipy.integrate import cumulative_simpson

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853
 
 from abelcenter import (
@@ -366,3 +370,82 @@ def test_polar_rhs_is_the_two_evaluator_formula_bit_for_bit(cubic_system, config
         for theta, r in zip(rng.uniform(0.0, TWO_PI, 50).tolist(), rng.uniform(0.0, 0.1, 50)):
             want = (a_ev(theta) * r**n / (1.0 + b_ev(theta) * r ** (n - 1)),)
             assert rhs(theta, np.array([r])) == rhs(theta, np.array([r])) == want
+
+
+# ----------------------------------------------------------------------
+# the right-hand sides in Python floats
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=17),
+    st.floats(-1e30, 1e30),
+    st.floats(-1e30, 1e30),
+    st.integers(0, 17),
+)
+@settings(max_examples=300)
+def test_float_field_arithmetic_is_numpys_bit_for_bit(coeffs, x, y, k):
+    # both sides round each product alike and call libm's pow; where Python's
+    # float power raises, numpy's overflows to inf
+    P = HomogPoly(tuple(Fraction(c, 3) for c in coeffs))
+    with np.errstate(all="ignore"):
+        want = np.array([P.eval(np.float64(x), np.float64(y)), np.float64(x) ** k])
+    try:
+        got = np.array([P.eval(x, y), x**k])
+    except ArithmeticError:
+        assert not np.isfinite(want).all()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_float_field_takes_numpy_scalars_where_floats_raise():
+    rhs = planar_solver._on_floats(lambda t, x, y: (x**400, x / y))
+    got = rhs(0.0, np.array([2.0, 4.0]))
+    assert got == (2.0**400, 0.5) and {type(v) for v in got} == {float}
+    with np.errstate(over="ignore", divide="ignore"):
+        assert rhs(0.0, np.array([10.0, 0.0])) == (np.inf, np.inf)
+
+
+def _orbit_outputs(system, r0):
+    outputs = []
+    for solve in (
+        lambda: [a.tobytes() for a in (lambda tr: (tr.times, tr.xs, tr.ys, tr.thetas))(
+            integrate_planar(system, r0, 0.0))],
+        lambda: polar_return_map(system, r0),
+        lambda: crosscheck_cherkas(system, r0),
+    ):
+        try:
+            outputs.append(solve())
+        except SolverError as exc:
+            outputs.append(repr(exc))
+    return outputs
+
+
+def test_float_fields_give_the_numpy_scalar_orbits(cubic_system, focus_system, monkeypatch):
+    # at r0 = 2.13 a rejected Cartesian stage of this n = 9 system overflows floats
+    overflowing = PlanarSystem(
+        n=9,
+        P=HomogPoly.from_json_list(["1/3", "-2", "0", "-1/2", "1/2", "-1", "-1", "-3", "1", "1"]),
+        Q=HomogPoly.from_json_list(["0", "3", "-1/3", "2/3", "1/2", "0", "0", "1", "-1/3", "-1"]),
+    )
+    cases = [(s, r0) for s in (cubic_system, focus_system, *parity_corpus(3)) for r0 in (0.05, 0.4)]
+    cases.append((overflowing, 2.13))
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        ours = [_orbit_outputs(*case) for case in cases]
+    assert any("overflow encountered in scalar power" in str(w.message) for w in warned)
+    monkeypatch.setattr(planar_solver, "_on_floats", lambda field: lambda t, s: field(t, *s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert [_orbit_outputs(*case) for case in cases] == ours
+
+
+def test_zero_over_zero_error_norm_rejects_the_step_as_on_scipys_class(monkeypatch):
+    # at r0 = 1e-86 some attempts' |e5|^2 and 0.01 |e3|^2 underflow to 0 while
+    # |e3|^2 does not: numpy's 0 / 0 is NaN, which rejects the step
+    system = PlanarSystem(n=2, P=HomogPoly((1, 0, 0)), Q=HomogPoly.zero(2))
+    ours = polar_return_map(system, 1e-86)
+    monkeypatch.setattr(_ivp, "DOP853", DOP853)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        assert polar_return_map(system, 1e-86) == ours
+    assert any("invalid value encountered in scalar divide" in str(w.message) for w in warned)
