@@ -334,10 +334,13 @@ def test_step_loop_scalars_are_python_floats(monkeypatch, m, t_bound, per_compon
     # numpy scalars cost several times a float's arithmetic at every stage
     solvers, times = [], []
     for name in ("DOP853", "MaxNormDOP853"):
-        recorded = type(name, (getattr(_ivp, name),), {
-            "__init__": lambda self, *args, **kwargs: (
-                super(type(self), self).__init__(*args, **kwargs), solvers.append(self))[0]})
-        monkeypatch.setattr(_ivp, name, recorded)
+
+        class Recorded(getattr(_ivp, name)):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(self)
+
+        monkeypatch.setattr(_ivp, name, Recorded)
 
     def rhs(t, y):
         times.append(t)

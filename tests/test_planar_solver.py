@@ -405,16 +405,16 @@ def test_float_field_takes_numpy_scalars_where_floats_raise():
         assert rhs(0.0, np.array([10.0, 0.0])) == (np.inf, np.inf)
 
 
+def _trajectory_bytes(system, r0):
+    traj = integrate_planar(system, r0, 0.0)
+    return [a.tobytes() for a in (traj.times, traj.xs, traj.ys, traj.thetas)]
+
+
 def _orbit_outputs(system, r0):
     outputs = []
-    for solve in (
-        lambda: [a.tobytes() for a in (lambda tr: (tr.times, tr.xs, tr.ys, tr.thetas))(
-            integrate_planar(system, r0, 0.0))],
-        lambda: polar_return_map(system, r0),
-        lambda: crosscheck_cherkas(system, r0),
-    ):
+    for solve in (_trajectory_bytes, polar_return_map, crosscheck_cherkas):
         try:
-            outputs.append(solve())
+            outputs.append(solve(system, r0))
         except SolverError as exc:
             outputs.append(repr(exc))
     return outputs
