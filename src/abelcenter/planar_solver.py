@@ -51,20 +51,6 @@ _TWO_PI = 2.0 * math.pi
 _SECTION_TOL = 1e-12
 
 
-def _on_floats(field):
-    """rhs(t, state) = field(t, *state) in Python floats, cheaper than numpy's scalars and
-    rounded alike; where floats raise (x / 0, a power past the float range), numpy's scalars
-    give the inf or nan that makes DOP853 reject the step."""
-
-    def rhs(t, state):
-        try:
-            return field(t, *state.tolist())
-        except ArithmeticError:
-            return field(t, *state)
-
-    return rhs
-
-
 @dataclass(frozen=True, eq=False)
 class PlanarTrajectory:
     """One full turn of an orbit, sampled uniformly in time.
@@ -113,14 +99,14 @@ def integrate_planar(
     target = theta0 + _TWO_PI
     escape = 10.0 * max(1.0, r0)
 
-    def field(t, x, y, _):
+    def rhs(t, state):
+        x, y, _ = state
         dx = -y + p_ev(x, y)
         dy = x + q_ev(x, y)
         r2 = x * x + y * y
         return (dx, dy, (x * dy - y * dx) / r2)
 
-    rhs = _on_floats(field)
-    if field(0.0, x0, y0, theta0)[2] <= 0.0:
+    if rhs(0.0, (x0, y0, theta0))[2] <= 0.0:
         raise LeftMonotoneRegion(
             f"angular speed is not positive at the initial point (r0={r0:.6g})"
         )
@@ -167,9 +153,8 @@ def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
     ab = _pair_evaluator(A, B)
     escape = 10.0 * max(1.0, r0)
 
-    @_on_floats
-    def rhs(theta, r):
-        a, b = ab(theta)
+    def rhs(theta, y):
+        (a, b), r = ab(theta), y[0]
         den = 1.0 + b * r ** (n - 1)
         if den <= 0.0:
             raise LeftMonotoneRegion(

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import DOP853
 
 from abelcenter import (
@@ -373,36 +370,7 @@ def test_polar_rhs_is_the_two_evaluator_formula_bit_for_bit(cubic_system, config
 
 
 # ----------------------------------------------------------------------
-# the right-hand sides in Python floats
-
-
-@given(
-    st.lists(st.integers(-9, 9), min_size=2, max_size=17),
-    st.floats(-1e30, 1e30),
-    st.floats(-1e30, 1e30),
-    st.integers(0, 17),
-)
-@settings(max_examples=300)
-def test_float_field_arithmetic_is_numpys_bit_for_bit(coeffs, x, y, k):
-    # both sides round each product alike and call libm's pow; where Python's
-    # float power raises, numpy's overflows to inf
-    P = HomogPoly(tuple(Fraction(c, 3) for c in coeffs))
-    with np.errstate(all="ignore"):
-        want = np.array([P.eval(np.float64(x), np.float64(y)), np.float64(x) ** k])
-    try:
-        got = np.array([P.eval(x, y), x**k])
-    except ArithmeticError:
-        assert not np.isfinite(want).all()
-    else:
-        assert got.tobytes() == want.tobytes()
-
-
-def test_float_field_takes_numpy_scalars_where_floats_raise():
-    rhs = planar_solver._on_floats(lambda t, x, y: (x**400, x / y))
-    got = rhs(0.0, np.array([2.0, 4.0]))
-    assert got == (2.0**400, 0.5) and {type(v) for v in got} == {float}
-    with np.errstate(over="ignore", divide="ignore"):
-        assert rhs(0.0, np.array([10.0, 0.0])) == (np.inf, np.inf)
+# the orbit solves on scipy's DOP853 classes
 
 
 def _trajectory_bytes(system, r0):
@@ -410,18 +378,30 @@ def _trajectory_bytes(system, r0):
     return [a.tobytes() for a in (traj.times, traj.xs, traj.ys, traj.thetas)]
 
 
-def _orbit_outputs(system, r0):
+def _orbit_outputs(cases):
+    """Each solve's output or error message, and the set of warnings all of them print."""
     outputs = []
-    for solve in (_trajectory_bytes, polar_return_map, crosscheck_cherkas):
-        try:
-            outputs.append(solve(system, r0))
-        except SolverError as exc:
-            outputs.append(repr(exc))
-    return outputs
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        for case in cases:
+            for solve in (_trajectory_bytes, polar_return_map, crosscheck_cherkas):
+                try:
+                    outputs.append(solve(*case))
+                except SolverError as exc:
+                    outputs.append(repr(exc))
+    return outputs, sorted({str(w.message) for w in warned})
 
 
-def test_float_fields_give_the_numpy_scalar_orbits(cubic_system, focus_system, monkeypatch):
-    # at r0 = 2.13 a rejected Cartesian stage of this n = 9 system overflows floats
+def _on_scipys_classes(monkeypatch):
+    scipy_max_norm = type("ScipyMaxNormDOP853", (DOP853,),
+                          {"_estimate_error_norm": _ivp.MaxNormDOP853._estimate_error_norm})
+    monkeypatch.setattr(_ivp, "DOP853", DOP853)
+    monkeypatch.setattr(_ivp, "MaxNormDOP853", scipy_max_norm)
+
+
+def test_orbit_solves_run_as_on_scipys_classes(cubic_system, focus_system, monkeypatch):
+    # at r0 = 2.13 a rejected Cartesian stage of this n = 9 system overflows,
+    # and DOP853 rejects the step on numpy's inf
     overflowing = PlanarSystem(
         n=9,
         P=HomogPoly.from_json_list(["1/3", "-2", "0", "-1/2", "1/2", "-1", "-1", "-3", "1", "1"]),
@@ -429,23 +409,17 @@ def test_float_fields_give_the_numpy_scalar_orbits(cubic_system, focus_system, m
     )
     cases = [(s, r0) for s in (cubic_system, focus_system, *parity_corpus(3)) for r0 in (0.05, 0.4)]
     cases.append((overflowing, 2.13))
-    with warnings.catch_warnings(record=True) as warned:
-        warnings.simplefilter("always")
-        ours = [_orbit_outputs(*case) for case in cases]
-    assert any("overflow encountered in scalar power" in str(w.message) for w in warned)
-    monkeypatch.setattr(planar_solver, "_on_floats", lambda field: lambda t, s: field(t, *s))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert [_orbit_outputs(*case) for case in cases] == ours
+    ours = _orbit_outputs(cases)
+    assert "overflow encountered in scalar power" in ours[1]
+    _on_scipys_classes(monkeypatch)
+    assert _orbit_outputs(cases) == ours
 
 
 def test_zero_over_zero_error_norm_rejects_the_step_as_on_scipys_class(monkeypatch):
     # at r0 = 1e-86 some attempts' |e5|^2 and 0.01 |e3|^2 underflow to 0 while
     # |e3|^2 does not: numpy's 0 / 0 is NaN, which rejects the step
     system = PlanarSystem(n=2, P=HomogPoly((1, 0, 0)), Q=HomogPoly.zero(2))
-    ours = polar_return_map(system, 1e-86)
-    monkeypatch.setattr(_ivp, "DOP853", DOP853)
-    with warnings.catch_warnings(record=True) as warned:
-        warnings.simplefilter("always")
-        assert polar_return_map(system, 1e-86) == ours
-    assert any("invalid value encountered in scalar divide" in str(w.message) for w in warned)
+    ours = _orbit_outputs([(system, 1e-86)])
+    assert "invalid value encountered in scalar divide" in ours[1]
+    _on_scipys_classes(monkeypatch)
+    assert _orbit_outputs([(system, 1e-86)]) == ours
