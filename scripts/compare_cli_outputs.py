@@ -12,10 +12,12 @@ planar system under ``tests/golden/`` with each of the five commands, and
 each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
 output and the exit status are compared.  Two library paths that no command
-runs are compared too, for each golden planar system (18 more jobs, 81 in
-all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
-and the ``repr`` of ``polar_return_map(system, 0.05)``, or, where either
-raises, the exception's type and message.  Each difference is printed; the
+runs are compared too, for each golden planar system (27 more jobs, 90 in
+all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``,
+the ``repr`` of ``polar_return_map(system, 0.05)`` and the bytes of the two
+arrays of ``integrate_abel(abel_from_planar(system), rho)`` with rho the top
+of ``default_rho_grid``, or, where one raises, the exception's type and
+message.  Each difference is printed; the
 exit status is 1 if there is any, else 0.
 """
 
@@ -34,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PLANAR_COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 ABEL_COMMANDS = ("certify", "scan", "picard")
-LIBRARY_CALLS = ("integrate_planar", "polar_return_map")
+LIBRARY_CALLS = ("integrate_planar", "polar_return_map", "integrate_abel")
 
 
 def jobs() -> list[tuple[str, dict]]:
@@ -61,19 +63,26 @@ def library_calls() -> list[tuple[str, str, dict]]:
 
 
 def call(function: str, payload: dict, out: Path):
-    """One library job: integrate_planar writes its arrays to ``out``, polar_return_map
-    returns its repr; either returns the exception it raises as a string."""
-    from abelcenter import planar_solver
-    from abelcenter.reduction import PlanarSystem
+    """One library job: integrate_planar and integrate_abel write their arrays to ``out``,
+    polar_return_map returns its repr; each returns the exception it raises as a string."""
+    from abelcenter import abel_solver, planar_solver
+    from abelcenter.reduction import PlanarSystem, abel_from_planar
 
     try:
         system = PlanarSystem.from_json_dict(payload)
         if function == "polar_return_map":
             return repr(planar_solver.polar_return_map(system, 0.05))
-        traj = planar_solver.integrate_planar(system, 0.05, 0.0)
+        if function == "integrate_abel":
+            problem = abel_from_planar(system)
+            rho = float(abel_solver.default_rho_grid(problem)[-1])
+            traj = abel_solver.integrate_abel(problem, rho)
+            arrays = {"nodes": traj.nodes, "values": traj.values}
+        else:
+            traj = planar_solver.integrate_planar(system, 0.05, 0.0)
+            arrays = {name: getattr(traj, name) for name in ("times", "xs", "ys", "thetas")}
         out.mkdir()
-        for name in ("times", "xs", "ys", "thetas"):
-            (out / f"{name}.bin").write_bytes(getattr(traj, name).tobytes())
+        for name, array in arrays.items():
+            (out / f"{name}.bin").write_bytes(array.tobytes())
         return 0
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"

@@ -18,7 +18,12 @@ scalars (t, h, each stage time, the error norm) are Python floats, the RMS
 norm's 1-d norms are sqrt(dot(x, x)) as ``np.linalg.norm`` takes them, the
 step factor's ``error_norm ** -1/8`` calls libm's ``pow`` on both sides, and
 ``a.dot(b)`` runs the matrix product ``np.dot`` runs, without its Python-level
-dispatch (checked with Python 3.11, numpy 2.4 and scipy 1.17).  Its Butcher
+dispatch (checked with Python 3.11, numpy 2.4 and scipy 1.17).  A
+:class:`DenseSolution` evaluates an array of points in one pass: each point
+finds its step by scipy's ``OdeSolution`` rule, and DOP853's 7-row Horner
+recurrence runs on all points at once, one gathered row of F at a time,
+through the same operations as the step's own interpolant, so every value is
+the one scipy's ``OdeSolution`` gives, bit for bit.  Its Butcher
 tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by file
 location when the first solver is built: that file imports only numpy,
 while importing it by name runs ``scipy/integrate/__init__``, ~0.6 s of
@@ -184,6 +189,17 @@ class MaxNormDOP853(DOP853):
         return abs(h) * float(ratio.max())
 
 
+def _horner(x, rows, y):
+    """DOP853's interpolant less y_old at the step fractions ``x``, summed into the zeros ``y``.
+
+    ``rows`` yields F[6], ..., F[0]; the factors alternate x and 1 - x, from the
+    innermost term out (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6)."""
+    for i, f in enumerate(rows):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y
+
+
 class _Dop853Dense:
     """DOP853's interpolant over one step from t_old to t."""
 
@@ -193,10 +209,7 @@ class _Dop853Dense:
     def __call__(self, t):
         x = (np.asarray(t) - self.t_old) / self.h
         x = x if np.ndim(x) == 0 else x[:, None]
-        y = np.zeros(np.shape(x)[:1] + self.y_old.shape)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
+        y = _horner(x, reversed(self.F), np.zeros(np.shape(x)[:1] + self.y_old.shape))
         return (y + self.y_old).T
 
 
@@ -204,7 +217,9 @@ class DenseSolution:
     """The interpolants of a forward integration as one function of a float or 1-d array.
 
     Each point goes to the first segment that ends at or after it, clamped at
-    both ends: scipy's ``OdeSolution`` rule."""
+    both ends: scipy's ``OdeSolution`` rule.  A float goes to its segment's
+    interpolant; an array is evaluated in one pass, each point through the
+    same operations as there, one gathered row of F at a time."""
 
     def __init__(self, ts, interpolants):
         self.ts, self.interpolants = np.asarray(ts), interpolants
@@ -215,12 +230,17 @@ class DenseSolution:
         segments = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
         if t.ndim == 0:
             return self.interpolants[segments](t)
-        order = np.argsort(t)
-        t_sorted, segments = t[order], segments[order]
-        cuts = np.flatnonzero(np.diff(segments)) + 1  # where the segment changes
-        parts = zip(segments[np.r_[0, cuts]], np.split(t_sorted, cuts))
-        ys = np.hstack([self.interpolants[segment](part) for segment, part in parts])
-        return ys[:, np.argsort(order)]
+        t_old, h, F, y_old = (np.array([getattr(step, name) for step in self.interpolants])
+                              for name in ("t_old", "h", "F", "y_old"))
+        x = ((t - t_old[segments]) / h[segments])[:, None]
+        # one (point, component) buffer for every gathered row; the segments are in range,
+        # and mode="clip" spares the copy of ``out`` that np.take's default mode makes
+        row = np.empty((t.size, y_old.shape[1]))
+        rows = (np.take(F[:, j], segments, axis=0, out=row, mode="clip")
+                for j in reversed(range(F.shape[1])))
+        y = _horner(x, rows, np.zeros_like(row))
+        y += np.take(y_old, segments, axis=0, out=row, mode="clip")
+        return y.T
 
 
 def solve_dense(

@@ -575,9 +575,9 @@ def operator_bound_check(
 
 def _csv(header: str, *columns) -> str:
     """``header`` and one row per index, each value at 17 significant digits."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return header + "\n" + "".join([row % v for v in values])
+    return header + "\n" + row * len(table) % tuple(table.ravel().tolist())
 
 
 def trajectory_to_csv(x: Trajectory) -> str:

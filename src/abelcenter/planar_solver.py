@@ -36,6 +36,7 @@ from .reduction import (
     cherkas_inverse,
     compute_AB,
     _pair_evaluator,
+    _scalar_evaluator,
 )
 
 __all__ = [
@@ -208,14 +209,15 @@ def crosscheck_cherkas(
     B = problem.origin.B
     n = system.n
     r_dense, _ = _polar_solution(n, problem.origin.A, B, r0, config)
-    gamma0 = cherkas_forward(r0, 0.0, B, n)
+    b = _scalar_evaluator(B)  # one evaluator for the 1 + samples map calls
+    gamma0 = cherkas_forward(r0, 0.0, b, n)
     g_dense, _, _ = solve_dense(abel_rhs, 0.0, [gamma0], _TWO_PI, config)
     thetas = np.linspace(0.0, _TWO_PI, samples)
     r_direct = r_dense(thetas)[0]
     gammas = g_dense(thetas)[0]
     defect = 0.0
     for theta, gamma, r_ref in zip(thetas, gammas, r_direct):
-        r_back = cherkas_inverse(float(gamma), float(theta), B, n)
+        r_back = cherkas_inverse(float(gamma), float(theta), b, n)
         defect = max(defect, abs(r_back - r_ref))
     return defect
 

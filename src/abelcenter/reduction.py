@@ -298,6 +298,11 @@ def _scalar_evaluator(coef: Coefficient) -> Callable[[float], float]:
     return lambda t: float(coef(t))
 
 
+def _value_at(coef: Coefficient, t: float) -> float:
+    """coef(t); a callable, such as an evaluator built once for many calls, is called as is."""
+    return float(coef(t)) if callable(coef) else _scalar_evaluator(coef)(t)
+
+
 def _pair_evaluator(p: Coefficient, q: Coefficient) -> Callable[[float], tuple[float, float]]:
     """t -> (p(t), q(t)), one angle-addition run for two trig polynomials.  Its memo of the
     last t serves DOP853's last stage (c = 1) and end slope at t + h.  Build one per solve."""
@@ -351,7 +356,7 @@ def cherkas_forward(r: float, theta: float, B: Coefficient, n: int) -> float:
     if n < 2:
         raise ValidationError("degree must be >= 2")
     u = r ** (n - 1)
-    denom = 1.0 + _scalar_evaluator(B)(theta) * u
+    denom = 1.0 + _value_at(B, theta) * u
     if denom <= 0.0:
         raise OutsideMonotoneRegion(
             f"1 + B({theta:.6g}) * r^{n - 1} = {denom:.6g} <= 0 at r={r:.6g}"
@@ -369,7 +374,7 @@ def cherkas_inverse(gamma: float, theta: float, B: Coefficient, n: int) -> float
         raise ValidationError("degree must be >= 2")
     if gamma < 0:
         raise OutsideTransformImage(f"gamma={gamma:.6g} is negative")
-    denom = 1.0 - _scalar_evaluator(B)(theta) * gamma
+    denom = 1.0 - _value_at(B, theta) * gamma
     if denom <= 0.0:
         raise OutsideTransformImage(
             f"1 - B({theta:.6g}) * gamma = {denom:.6g} <= 0 at gamma={gamma:.6g}"

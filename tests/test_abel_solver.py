@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -187,21 +188,57 @@ def test_dense_solution_evaluates_each_point_on_its_own_segment():
 
 
 def test_dense_solution_sends_each_step_end_to_the_step_it_ends():
-    class Tag:
-        """An interpolant that returns its own index at every point."""
+    def tag(index):
+        """A step's interpolant that returns the step's index at every point."""
+        return _ivp._Dop853Dense(index, index + 1, np.array([float(index)]), np.zeros((7, 1)))
 
-        def __init__(self, index):
-            self.index = index
-
-        def __call__(self, t):
-            return np.full((1, *np.shape(t)), float(self.index))
-
-    ts, tags = [0.0, 1.0, 2.0, 3.0], [Tag(0), Tag(1), Tag(2)]
+    ts, tags = [0.0, 1.0, 2.0, 3.0], [tag(0), tag(1), tag(2)]
     points = np.array([3.5, 2.0, 1.0, 0.0, -1.0, 0.5, 1.5, 3.0])
     expected = [2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]
     for solution in (_ivp.DenseSolution(ts, tags), OdeSolution(ts, tags)):
         assert solution(points)[0].tolist() == expected
         assert [solution(float(t))[0] for t in points] == expected
+
+
+def _per_point(solution, points):
+    """Each point through its own step's interpolant, by the OdeSolution rule."""
+    last = len(solution.interpolants) - 1
+    segments = np.clip(np.searchsorted(solution.ts, points) - 1, 0, last)
+    return np.stack([solution.interpolants[s](float(t)) for s, t in zip(segments, points)], 1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_dense_solution_arrays_are_per_point_calls_bit_for_bit(m):
+    _, ts, _, segments = _step_through(_ivp.DOP853, m, dense=True)
+    solver = _ivp.DOP853(_spike_rhs(m), 0.0, np.linspace(1.0, -1.0, m), 3.0)
+    solver.step()
+    one_step = _ivp.DenseSolution([0.0, solver.t], [solver.dense_output()])
+    for solution, end in ((_ivp.DenseSolution(ts, segments), 3.0), (one_step, solver.t)):
+        rng = np.random.default_rng(m)
+        points = np.concatenate([
+            np.linspace(-0.5, end + 0.5, 301), solution.ts, solution.ts[::2],  # ends repeated
+            rng.uniform(-1e3, 1e3, 20), [-0.0],
+        ])
+        rng.shuffle(points)
+        ours, reference = solution(points), _per_point(solution, points)
+        assert ours.shape == (m, points.size)
+        assert ours.tobytes() == reference.tobytes()
+
+
+def test_dense_solution_array_peak_memory_stays_at_the_per_step_paths():
+    # the per-step path (argsort, split, hstack, reorder) peaked at 80 bytes a point
+    # for m = 3; gathering all of F's rows at once costs 168 bytes a point more
+    _, ts, _, segments = _step_through(_ivp.DOP853, 3, dense=True)
+    solution = _ivp.DenseSolution(ts, segments)
+    points = np.random.default_rng(0).uniform(0.0, 3.0, 2**18)
+    solution(points[:8])
+    tracemalloc.start()
+    try:
+        solution(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * points.size + 2**16
 
 
 class ScipyMaxNormDOP853(DOP853):
@@ -866,6 +903,17 @@ def test_csv_writers_match_row_by_row_formatting(size):
     assert report_to_csv(report) == _row_by_row_csv("rho,pi_rho,d_rho", t, x, y)
     planar = PlanarTrajectory(times=t, xs=x, ys=y, thetas=th)
     assert planar_trajectory_to_csv(planar) == _row_by_row_csv("t,x,y,theta", t, x, y, th)
+
+
+def test_csv_is_the_per_row_format_in_one_operation():
+    edges = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    columns = [np.array(edges), np.array(edges[::-1]), np.array(edges[2:] + edges[:2])]
+    row = "%.17g,%.17g,%.17g\n"
+    per_row = "".join(row % values for values in zip(*(c.tolist() for c in columns)))
+    text = abel_solver._csv("a,b,c", *columns)
+    assert text == "a,b,c\n" + per_row
+    assert "%.17g" % 0.1 != repr(0.1) and "0.10000000000000001" in text
+    assert "-0," in text and "4.9406564584124654e-324" in text
 
 
 def test_trajectory_csv_format(t_problem, config):
