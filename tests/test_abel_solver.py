@@ -223,9 +223,10 @@ def test_dense_solution_arrays_are_per_point_calls_bit_for_bit(m):
         ours, reference = solution(points), _per_point(solution, points)
         assert ours.shape == (m, points.size)
         assert ours.tobytes() == reference.tobytes()
+        assert solution(np.array([])).shape == (m, 0)  # the per-step path raised IndexError
 
 
-def test_dense_solution_array_peak_memory_stays_at_the_per_step_paths():
+def test_dense_solution_array_peak_memory_is_within_the_per_step_paths():
     # the per-step path (argsort, split, hstack, reorder) peaked at 80 bytes a point
     # for m = 3; gathering all of F's rows at once costs 168 bytes a point more
     _, ts, _, segments = _step_through(_ivp.DOP853, 3, dense=True)
