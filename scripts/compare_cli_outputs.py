@@ -12,9 +12,9 @@ planar system under ``tests/golden/`` with each of the five commands, and
 each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
 output and the exit status are compared.  Two library paths that no command
-runs are compared too, for each golden planar system (27 more jobs, 90 in
-all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``,
-the ``repr`` of ``polar_return_map(system, 0.05)`` and the bytes of the two
+runs are compared too, for each golden planar system (36 more jobs, 99 in
+all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
+and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr`` of ``polar_return_map(system, 0.05)`` and the bytes of the two
 arrays of ``integrate_abel(abel_from_planar(system), rho)`` with rho the top
 of ``default_rho_grid``, or, where one raises, the exception's type and
 message.  Each difference is printed; the
@@ -36,7 +36,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PLANAR_COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 ABEL_COMMANDS = ("certify", "scan", "picard")
-LIBRARY_CALLS = ("integrate_planar", "polar_return_map", "integrate_abel")
+LIBRARY_CALLS = ("integrate_planar", "integrate_planar_off_axis", "polar_return_map",
+                 "integrate_abel")
+# the starting point (x0, y0) of each integrate_planar job
+PLANAR_STARTS = {"integrate_planar": (0.05, 0.0), "integrate_planar_off_axis": (0.03, -0.04)}
 
 
 def jobs() -> list[tuple[str, dict]]:
@@ -63,8 +66,9 @@ def library_calls() -> list[tuple[str, str, dict]]:
 
 
 def call(function: str, payload: dict, out: Path):
-    """One library job: integrate_planar and integrate_abel write their arrays to ``out``,
-    polar_return_map returns its repr; each returns the exception it raises as a string."""
+    """One library job: integrate_planar (from either start) and integrate_abel write their
+    arrays to ``out``, polar_return_map returns its repr; each returns the exception it
+    raises as a string."""
     from abelcenter import abel_solver, planar_solver
     from abelcenter.reduction import PlanarSystem, abel_from_planar
 
@@ -78,7 +82,7 @@ def call(function: str, payload: dict, out: Path):
             traj = abel_solver.integrate_abel(problem, rho)
             arrays = {"nodes": traj.nodes, "values": traj.values}
         else:
-            traj = planar_solver.integrate_planar(system, 0.05, 0.0)
+            traj = planar_solver.integrate_planar(system, *PLANAR_STARTS[function])
             arrays = {name: getattr(traj, name) for name in ("times", "xs", "ys", "thetas")}
         out.mkdir()
         for name, array in arrays.items():

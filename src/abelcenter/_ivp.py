@@ -18,12 +18,13 @@ scalars (t, h, each stage time, the error norm) are Python floats, the RMS
 norm's 1-d norms are sqrt(dot(x, x)) as ``np.linalg.norm`` takes them, the
 step factor's ``error_norm ** -1/8`` calls libm's ``pow`` on both sides, and
 ``a.dot(b)`` runs the matrix product ``np.dot`` runs, without its Python-level
-dispatch (checked with Python 3.11, numpy 2.4 and scipy 1.17).  A
-:class:`DenseSolution` evaluates an array of points in one pass: each point
-finds its step by scipy's ``OdeSolution`` rule, and DOP853's 7-row Horner
-recurrence runs on all points at once, one gathered row of F at a time,
-through the same operations as the step's own interpolant, so every value is
-the one scipy's ``OdeSolution`` gives, bit for bit.  Its Butcher
+dispatch (checked with Python 3.11, numpy 2.4 and scipy 1.17).  Every solve
+runs forward, ``t_bound > t0``.  A :class:`DenseSolution` is the one way to
+evaluate dense output: a float or an array of points goes through one pass,
+each point finding its step by scipy's ``OdeSolution`` rule, and DOP853's
+7-row Horner recurrence runs on all points at once, one gathered row of F at
+a time, through the operations of scipy's per-step interpolant, so every
+value is the one scipy's ``OdeSolution`` gives, bit for bit.  Its Butcher
 tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by file
 location when the first solver is built: that file imports only numpy,
 while importing it by name runs ``scipy/integrate/__init__``, ~0.6 s of
@@ -70,7 +71,7 @@ def _load_tableau(cls) -> None:
 
 
 class DOP853:
-    """scipy's DOP853 solver object, for a real 1-d state and ``t_bound != t0``."""
+    """scipy's DOP853 solver object, for a real 1-d state and ``t_bound > t0``."""
 
     n_stages = None  # bound with the rest of the tableau by the first construction
     error_exponent = -1 / 8  # -1 / (error estimator order + 1)
@@ -80,18 +81,17 @@ class DOP853:
             _load_tableau(__class__)  # this class, whatever the module name is rebound to
         self._rhs, self.nfev, self.status, self.t_old = fun, 0, "running", None
         self.t, self.y, self.t_bound = float(t0), np.asarray(y0, dtype=float), float(t_bound)
-        self.direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
         if np.any(rtol < _RTOL_FLOOR):
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {_RTOL_FLOOR})`.", stacklevel=3)
             rtol = np.maximum(rtol, _RTOL_FLOOR)
         self.max_step, self.rtol, self.atol = float(max_step), rtol, atol
         self.f = f0 = self.fun(self.t, self.y)
-        interval_length = abs(t_bound - t0)  # scipy's select_initial_step and RMS norm
+        interval_length = t_bound - t0  # scipy's select_initial_step and RMS norm
         scale = atol + np.abs(self.y) * rtol
         d0, d1 = (np.linalg.norm(v / scale) / v.size ** 0.5 for v in (self.y, f0))
         h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length))
-        f1 = self.fun(self.t + h0 * self.direction, self.y + h0 * self.direction * f0)
+        f1 = self.fun(self.t + h0, self.y + h0 * f0)
         d2 = np.linalg.norm((f1 - f0) / scale) / f1.size ** 0.5 / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 8))
@@ -109,7 +109,7 @@ class DOP853:
     def step(self):
         """One accepted step; returns the failure message or None."""
         success, message = self._step_impl()
-        if not success or self.direction * (self.t - self.t_bound) >= 0:
+        if not success or self.t >= self.t_bound:
             self.status = "finished" if success else "failed"
         return message
 
@@ -120,18 +120,15 @@ class DOP853:
             K[s] = fun(t + c * h, y + K_s.dot(a) * h)
 
     def _step_impl(self):
-        t, y, direction = self.t, self.y, self.direction
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        t, y = self.t, self.y
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
         step_rejected = False
         while True:
             if h_abs < min_step:
                 return False, "Required step size is less than spacing between numbers."
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
             K = self._K_step  # scipy's rk_step
             K[0] = self.f
             self._stages(self._step_stages, t, y, h)
@@ -189,58 +186,47 @@ class MaxNormDOP853(DOP853):
         return abs(h) * float(ratio.max())
 
 
-def _horner(x, rows, y):
-    """DOP853's interpolant less y_old at the step fractions ``x``, summed into the zeros ``y``.
-
-    ``rows`` yields F[6], ..., F[0]; the factors alternate x and 1 - x, from the
-    innermost term out (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6)."""
-    for i, f in enumerate(rows):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y
-
-
 class _Dop853Dense:
-    """DOP853's interpolant over one step from t_old to t."""
+    """DOP853's interpolant over one step from t_old to t, as data: the names of
+    scipy's ``Dop853DenseOutput``, which :class:`DenseSolution` gathers from."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old, self.t, self.h, self.y_old, self.F = t_old, t, t - t_old, y_old, F
-
-    def __call__(self, t):
-        x = (np.asarray(t) - self.t_old) / self.h
-        x = x if np.ndim(x) == 0 else x[:, None]
-        y = _horner(x, reversed(self.F), np.zeros(np.shape(x)[:1] + self.y_old.shape))
-        return (y + self.y_old).T
 
 
 class DenseSolution:
     """The interpolants of a forward integration as one function of a float or 1-d array.
 
     Each point goes to the first segment that ends at or after it, clamped at
-    both ends: scipy's ``OdeSolution`` rule.  A float goes to its segment's
-    interpolant; an array is evaluated in one pass, each point through the
-    same operations as there, one gathered row of F at a time."""
+    both ends: scipy's ``OdeSolution`` rule.  All points are evaluated in one
+    pass, DOP853's Horner recurrence on one gathered row of F at a time, F[6]
+    first, the factors alternating x and 1 - x (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.6).  A float gives shape (m,), an array (m, N)."""
 
     def __init__(self, ts, interpolants):
         self.ts, self.interpolants = np.asarray(ts), interpolants
         self.t_min, self.t_max = self.ts[0], self.ts[-1]
+        # segment i ends at ts[i + 1]: counting the inner ends below t clamps at both ends
+        self._inner_ends = self.ts[1:-1]
+        self._t_old, self._h, self._F, self._y_old = (
+            np.array([getattr(step, name) for step in interpolants])
+            for name in ("t_old", "h", "F", "y_old"))
 
     def __call__(self, t):
         t = np.asarray(t)
-        segments = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
-        if t.ndim == 0:
-            return self.interpolants[segments](t)
-        t_old, h, F, y_old = (np.array([getattr(step, name) for step in self.interpolants])
-                              for name in ("t_old", "h", "F", "y_old"))
-        x = ((t - t_old[segments]) / h[segments])[:, None]
+        points = t.reshape(-1)
+        segments = self._inner_ends.searchsorted(points)
+        x = ((points - self._t_old[segments]) / self._h[segments])[:, None]
+        factors, F = (x, 1 - x), self._F
         # one (point, component) buffer for every gathered row; the segments are in range,
-        # and mode="clip" spares the copy of ``out`` that np.take's default mode makes
-        row = np.empty((t.size, y_old.shape[1]))
-        rows = (np.take(F[:, j], segments, axis=0, out=row, mode="clip")
-                for j in reversed(range(F.shape[1])))
-        y = _horner(x, rows, np.zeros_like(row))
-        y += np.take(y_old, segments, axis=0, out=row, mode="clip")
-        return y.T
+        # and mode="clip" spares the copy of ``out`` that take's default mode makes
+        row = np.empty((points.size, F.shape[2]))
+        y = np.zeros_like(row)
+        for i in range(F.shape[1]):
+            y += F[:, -1 - i].take(segments, axis=0, out=row, mode="clip")
+            y *= factors[i % 2]
+        y += self._y_old.take(segments, axis=0, out=row, mode="clip")
+        return y.T if t.ndim else y[0]
 
 
 def solve_dense(

@@ -132,13 +132,13 @@ def integrate_planar(
         stop=lambda t, state: state[2] >= target,
     )
 
-    # stop brackets the crossing in the last step: Newton on its interpolant
-    last, t_star = dense.interpolants[-1], t_end
+    # stop brackets the crossing in the last step: Newton on the interpolant
+    t_star = t_end
     for _ in range(4):
-        state = last(t_star)
+        state = dense(t_star)
         t_star -= (state[2] - target) / rhs(t_star, state)[2]
-    defect = abs(last(t_star)[2] - target)
-    if not (last.t_old <= t_star <= t_end and defect <= _SECTION_TOL):
+    defect = abs(dense(t_star)[2] - target)
+    if not (dense.ts[-2] <= t_star <= t_end and defect <= _SECTION_TOL):
         raise SolverError(f"section crossing located only to {defect:.3e} in angle")
     times = np.linspace(0.0, t_star, config.grid_points)
     states = dense(times)
@@ -216,9 +216,8 @@ def crosscheck_cherkas(
     r_direct = r_dense(thetas)[0]
     gammas = g_dense(thetas)[0]
     defect = 0.0
-    for theta, gamma, r_ref in zip(thetas, gammas, r_direct):
-        r_back = cherkas_inverse(float(gamma), float(theta), b, n)
-        defect = max(defect, abs(r_back - r_ref))
+    for theta, gamma, r_ref in zip(thetas.tolist(), gammas.tolist(), r_direct.tolist()):
+        defect = max(defect, abs(cherkas_inverse(gamma, theta, b, n) - r_ref))
     return defect
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from abelcenter import (
     BlowUp,
@@ -175,12 +176,17 @@ def test_dense_solution_evaluates_each_point_on_its_own_segment():
 
     def own_segment(t):
         # the first segment that ends at or after t, the last one beyond t_end
-        return next((seg for seg in segments if seg.t >= t), segments[-1])
+        return _scipy_step(next((seg for seg in segments if seg.t >= t), segments[-1]))
 
     expected = np.stack([own_segment(t)(t) for t in points], axis=1)
     assert np.array_equal(sol(points), expected)
     assert np.array_equal(sol(float(points[0])), expected[:, 0])
     assert sol(float(points[0])).shape == (2,)
+
+
+def _scipy_step(step):
+    """scipy's interpolant over one step, built from the step's data."""
+    return Dop853DenseOutput(step.t_old, step.t, step.y_old, step.F)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +196,7 @@ def test_dense_solution_evaluates_each_point_on_its_own_segment():
 def test_dense_solution_sends_each_step_end_to_the_step_it_ends():
     def tag(index):
         """A step's interpolant that returns the step's index at every point."""
-        return _ivp._Dop853Dense(index, index + 1, np.array([float(index)]), np.zeros((7, 1)))
+        return Dop853DenseOutput(index, index + 1, np.array([float(index)]), np.zeros((7, 1)))
 
     ts, tags = [0.0, 1.0, 2.0, 3.0], [tag(0), tag(1), tag(2)]
     points = np.array([3.5, 2.0, 1.0, 0.0, -1.0, 0.5, 1.5, 3.0])
@@ -201,10 +207,11 @@ def test_dense_solution_sends_each_step_end_to_the_step_it_ends():
 
 
 def _per_point(solution, points):
-    """Each point through its own step's interpolant, by the OdeSolution rule."""
+    """Each point through scipy's interpolant of its own step, by the OdeSolution rule."""
     last = len(solution.interpolants) - 1
     segments = np.clip(np.searchsorted(solution.ts, points) - 1, 0, last)
-    return np.stack([solution.interpolants[s](float(t)) for s, t in zip(segments, points)], 1)
+    steps = [_scipy_step(step) for step in solution.interpolants]
+    return np.stack([steps[s](float(t)) for s, t in zip(segments, points)], 1)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
@@ -273,9 +280,9 @@ def _spike_rhs(m):
     return rhs
 
 
-def _step_through(solver_class, m, dense):
+def _step_through(solver_class, m, dense, t0=0.0, t_bound=3.0):
     y0 = np.linspace(1.0, -1.0, m)
-    solver = solver_class(_spike_rhs(m), 0.0, y0, 3.0, rtol=1e-8, atol=1e-10)
+    solver = solver_class(_spike_rhs(m), t0, y0, t_bound, rtol=1e-8, atol=1e-10)
     ts, ys, segments = [solver.t], [solver.y], []
     while solver.status == "running":
         solver.step()
@@ -291,22 +298,24 @@ def _step_through(solver_class, m, dense):
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_dop853_steps_bit_for_bit_like_scipys(m, per_component, dense):
     classes = (MaxNormDOP853, ScipyMaxNormDOP853) if per_component else (_ivp.DOP853, DOP853)
-    ours, ts, ys, segments = _step_through(classes[0], m, dense)
-    theirs, ts_ref, ys_ref, segments_ref = _step_through(classes[1], m, dense)
-    assert ours.status == theirs.status == "finished"
-    assert ts == ts_ref and np.array_equal(ys, ys_ref)
-    assert ours.nfev == theirs.nfev
-    steps = len(ts) - 1
-    attempts = (ours.nfev - 2 - 3 * steps * dense) / 12  # 2 calls choose the first step
-    assert attempts > steps  # the spike makes the controller reject steps
-    if dense:
-        points = np.concatenate([np.linspace(-0.5, 3.5, 2048), ts])
-        np.random.default_rng(m).shuffle(points)
-        ours_dense = _ivp.DenseSolution(ts, segments)
-        theirs_dense = OdeSolution(ts_ref, segments_ref)
-        assert np.array_equal(ours_dense(points), theirs_dense(points))
-        for t in points[::64]:
-            assert np.array_equal(ours_dense(float(t)), theirs_dense(float(t)))
+    # the scalar equation's solves start at a negative time, -a
+    for t0, t_bound in ((0.0, 3.0), (-math.pi, math.pi)):
+        ours, ts, ys, segments = _step_through(classes[0], m, dense, t0, t_bound)
+        theirs, ts_ref, ys_ref, segments_ref = _step_through(classes[1], m, dense, t0, t_bound)
+        assert ours.status == theirs.status == "finished"
+        assert ts == ts_ref and ts[-1] == t_bound and np.array_equal(ys, ys_ref)
+        assert ours.nfev == theirs.nfev
+        steps = len(ts) - 1
+        attempts = (ours.nfev - 2 - 3 * steps * dense) / 12  # 2 calls choose the first step
+        assert attempts > steps  # the spike makes the controller reject steps
+        if dense:
+            points = np.concatenate([np.linspace(t0 - 0.5, t_bound + 0.5, 2048), ts])
+            np.random.default_rng(m).shuffle(points)
+            ours_dense = _ivp.DenseSolution(ts, segments)
+            theirs_dense = OdeSolution(ts_ref, segments_ref)
+            assert np.array_equal(ours_dense(points), theirs_dense(points))
+            for t in points[::64]:
+                assert np.array_equal(ours_dense(float(t)), theirs_dense(float(t)))
 
 
 def _solve_until_turn(config, per_component):

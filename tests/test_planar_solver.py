@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +177,12 @@ def test_crosscheck_expands_the_circle_functions_once(cubic_system, config, monk
     monkeypatch.setattr(planar_solver, "compute_AB", counted)
     assert crosscheck_cherkas(cubic_system, 0.05, config) < 1e-9
     assert len(calls) == 1
+
+
+def test_crosscheck_returns_a_float():
+    payload = json.loads((Path(__file__).parent / "golden" / "cubic" / "system.json").read_text())
+    defect = crosscheck_cherkas(PlanarSystem.from_json_dict(payload), 0.05)
+    assert type(defect) is float and 0.0 < defect < 1e-9
 
 
 def test_crosscheck_zero_radial(config):
