@@ -14,11 +14,12 @@ and ``picard`` (63 jobs).  For every job the output files, the standard
 output and the exit status are compared.  Two library paths that no command
 runs are compared too, for each golden planar system (36 more jobs, 99 in
 all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
-and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr`` of ``polar_return_map(system, 0.05)`` and the bytes of the two
-arrays of ``integrate_abel(abel_from_planar(system), rho)`` with rho the top
-of ``default_rho_grid``, or, where one raises, the exception's type and
-message.  Each difference is printed; the
-exit status is 1 if there is any, else 0.
+and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr``
+of ``polar_return_map(system, 0.05)`` and the bytes of the two arrays of
+``integrate_abel(abel_from_planar(system), rho)`` with rho the top of
+``default_rho_grid``, or, where one raises, the exception's type and
+message.  Each difference is printed; the exit status is 1 if there is
+any, else 0.
 """
 
 from __future__ import annotations
