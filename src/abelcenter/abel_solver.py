@@ -526,8 +526,9 @@ def operator_bound_check(
     Lipschitz constant.  The observed maxima should stay below the
     ceilings up to quadrature error.
     """
-    if sample_count < 2:
-        raise ValidationError("need at least two samples to form a difference quotient")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
+        raise ValidationError("need an integer sample_count of at least 2 to form a "
+                              f"difference quotient, got {sample_count!r}")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if not 0 <= rho < bound:
         raise ValidationError(

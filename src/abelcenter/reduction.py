@@ -90,25 +90,6 @@ class HomogPoly:
             raise ValidationError("y power must lie between 0 and the degree")
         return cls((0,) * y_power + (c,) + (0,) * (degree - y_power))
 
-    def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj:
-                    out[i + j] += ci * cj
-        return HomogPoly(tuple(out))
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValidationError("cannot add homogeneous polynomials of unequal degree")
-        return HomogPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     @functools.cached_property
     def _float_terms(self) -> tuple[tuple[float, int, int], ...]:
         n = self.degree
@@ -273,10 +254,6 @@ class AbelProblem:
 
     def g_values(self, ts: np.ndarray) -> np.ndarray:
         return _coefficient_values(self.g, ts)
-
-    def evaluators(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Fast scalar evaluators of f and g, one function each."""
-        return _scalar_evaluator(self.f), _scalar_evaluator(self.g)
 
 
 def _coefficient_values(coef: Coefficient, ts: np.ndarray) -> np.ndarray:

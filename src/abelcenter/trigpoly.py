@@ -253,7 +253,7 @@ class TrigPoly:
             raise ValidationError("a coefficient lies beyond the float range") from None
 
     def eval(self, t: float) -> float:
-        """Evaluate at one point, one ``cos``/``sin`` call per term: the reference."""
+        """One ``cos``/``sin`` call per term: the reference of the tests and the bench oracle."""
         a, b = self._floats
         total = a[0]
         for k in range(1, len(a)):

@@ -48,7 +48,7 @@ from abelcenter import (
     rho_admissible_bound,
     trajectory_to_csv,
 )
-from abelcenter import _ivp, abel_solver
+from abelcenter import _ivp, abel_solver, reduction
 from abelcenter._ivp import MaxNormDOP853, solve_dense
 from abelcenter.abel_solver import _abel_rhs, _cumulative_simpson
 from conftest import make_zero_radial
@@ -284,7 +284,8 @@ def _step_through(solver_class, m, dense, t0=0.0, t_bound=3.0):
     y0 = np.linspace(1.0, -1.0, m)
     solver = solver_class(_spike_rhs(m), t0, y0, t_bound, rtol=1e-8, atol=1e-10)
     ts, ys, segments = [solver.t], [solver.y], []
-    while solver.status == "running":
+    # capped, so a solver that stops advancing fails the callers' status check, not hangs
+    while solver.status == "running" and len(ts) <= 10_000:
         solver.step()
         ts.append(solver.t)
         ys.append(solver.y)
@@ -822,9 +823,14 @@ def test_bound_probe_zero_rho(tt_problem, config):
 
 def test_bound_probe_validation(tt_problem, config):
     with pytest.raises(ValidationError):
-        operator_bound_check(tt_problem, 0.01, config, sample_count=1)
-    with pytest.raises(ValidationError):
         operator_bound_check(tt_problem, 0.2, config)  # beyond the bound
+
+
+@pytest.mark.parametrize("sample_count", [2.5, 3.0, "4", 1])
+def test_bound_probe_needs_an_integer_sample_count(tt_problem, config, sample_count):
+    # the same rule as crosscheck_cherkas's samples: numbers.Integral, at least 2
+    with pytest.raises(ValidationError, match="sample_count"):
+        operator_bound_check(tt_problem, 0.01, config, sample_count=sample_count)
 
 
 def test_bound_probe_deterministic(tt_problem, config):
@@ -954,7 +960,8 @@ def test_abel_rhs_is_the_two_evaluator_formula_bit_for_bit(m, cubic_system):
     problems = [abel_from_planar(cubic_system), abel_from_planar(PlanarSystem(n=6, P=P, Q=Q)),
                 cos2pit_problem([0.5, 1, 0.3], [0.2, 1, 0, 0.5])]
     for problem in problems:
-        rhs, (f_ev, g_ev) = _abel_rhs(problem), problem.evaluators()
+        rhs = _abel_rhs(problem)
+        f_ev, g_ev = reduction._scalar_evaluator(problem.f), reduction._scalar_evaluator(problem.g)
         for t in rng.uniform(-math.pi, math.pi, 50).tolist():
             y = rng.uniform(-0.1, 0.1, m)
             want = (f_ev(t) * y + g_ev(t)) * y * y

@@ -75,8 +75,9 @@ def test_circle_restriction_matches_pointwise_values(p):
 @given(homog_polys(max_degree=3))
 @settings(max_examples=30)
 def test_radius_square_factor_is_invisible_on_circle(p):
-    r2 = HomogPoly((Fraction(1), Fraction(0), Fraction(1)))  # x^2 + y^2
-    assert homog_to_trig(p * r2) == homog_to_trig(p)
+    # p * (x^2 + y^2): coefficient j of the product is c_j + c_(j-2)
+    product = HomogPoly(tuple(a + b for a, b in zip((*p.coeffs, 0, 0), (0, 0, *p.coeffs))))
+    assert homog_to_trig(product) == homog_to_trig(p)
 
 
 def test_homog_poly_validation():
@@ -84,8 +85,6 @@ def test_homog_poly_validation():
         HomogPoly(())
     with pytest.raises(ValidationError):
         HomogPoly.monomial(2, 3)
-    with pytest.raises(ValidationError):
-        HomogPoly((Fraction(1),)) + HomogPoly((Fraction(1), Fraction(0)))
 
 
 @st.composite
@@ -461,12 +460,12 @@ def test_scalar_evaluators_match_exact_coefficients(n):
     problem = abel_from_planar(PlanarSystem(n=n, P=dense(n), Q=dense(n)))
     assert problem.f.degree == 2 * (n + 1)
     ts = np.linspace(-math.pi, math.pi, 1001)
-    for coef, ev in zip((problem.f, problem.g), problem.evaluators()):
+    f_ev, g_ev = reduction._scalar_evaluator(problem.f), reduction._scalar_evaluator(problem.g)
+    for coef, ev in ((problem.f, f_ev), (problem.g, g_ev)):
         tol = 1e-13 * coef.linf_bound()
         assert max(abs(ev(t) - coef.eval(t)) for t in ts) <= tol
     # the integrators evaluate each pair in one run, to the same floats
     A, B = problem.origin.A, problem.origin.B
-    f_ev, g_ev = problem.evaluators()
     a_ev, b_ev = reduction._scalar_evaluator(A), reduction._scalar_evaluator(B)
     fg, ab = reduction._pair_evaluator(problem.f, problem.g), reduction._pair_evaluator(A, B)
     for t in ts.tolist():
