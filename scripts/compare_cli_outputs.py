@@ -11,15 +11,19 @@ from it and runs every golden job in-process through ``cli.main``: each
 planar system under ``tests/golden/`` with each of the five commands, and
 each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
-output and the exit status are compared.  Two library paths that no command
-runs are compared too, for each golden planar system (36 more jobs, 99 in
-all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
+output, the exit status and the warnings are compared.  Two library paths
+that no command runs are compared too, for each golden planar system (36
+more jobs, 99 in all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
 and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr``
 of ``polar_return_map(system, 0.05)`` and the bytes of the two arrays of
 ``integrate_abel(abel_from_planar(system), rho)`` with rho the top of
 ``default_rho_grid``, or, where one raises, the exception's type and
-message.  Each difference is printed; the exit status is 1 if there is
-any, else 0.
+message.  A job's warnings are recorded, every one of them, as the sorted
+list of its (category name, message) pairs, so a warning that one tree
+issues and the other does not, such as numpy's ``RuntimeWarning`` on
+overflow, shows as a difference; standard error is not compared, since it
+carries file paths and line numbers.  Each difference is printed; the exit
+status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +98,17 @@ def call(function: str, payload: dict, out: Path):
         return f"raised {type(exc).__name__}: {exc}"
 
 
+@contextlib.contextmanager
+def recorded_warnings():
+    """A list that holds, once the block ends, every warning issued in it as sorted
+    [category name, message] pairs."""
+    pairs = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield pairs
+    pairs.extend(sorted([w.category.__name__, str(w.message)] for w in caught))
+
+
 def work(src: str, out: Path) -> None:
     """Run every job with the package under ``src``; write outputs and results.json to ``out``."""
     sys.path.insert(0, src)
@@ -103,18 +119,21 @@ def work(src: str, out: Path) -> None:
     for name, function, payload in library_calls():
         job = Path("jobs", name)
         job.mkdir(parents=True)
-        results[name] = {"status": call(function, payload, job / "out"), "stdout": ""}
+        with recorded_warnings() as warned:
+            status = call(function, payload, job / "out")
+        results[name] = {"status": status, "stdout": "", "warnings": warned}
     for name, spec in jobs():
         job = Path("jobs", name)
         job.mkdir(parents=True)
         (job / "job.json").write_text(json.dumps(spec))
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()),
+              recorded_warnings() as warned):
             try:
                 status = cli.main(["--spec", str(job / "job.json"), "--out", str(job / "out")])
             except Exception as exc:  # a traceback in the CLI is a result to compare too
                 status = f"raised {type(exc).__name__}: {exc}"
-        results[name] = {"status": status, "stdout": stdout.getvalue()}
+        results[name] = {"status": status, "stdout": stdout.getvalue(), "warnings": warned}
     Path("results.json").write_text(json.dumps(results, indent=1))
 
 
@@ -134,7 +153,7 @@ def differences(old: Path, new: Path) -> tuple[int, list[str]]:
         if a is None or b is None:
             lines.append(f"{name}: run on one tree only")
             continue
-        for key in ("status", "stdout"):
+        for key in ("status", "stdout", "warnings"):
             if a[key] != b[key]:
                 lines.append(f"{name}: {key} {a[key]!r} != {b[key]!r}")
         files_a, files_b = outputs(old / "jobs" / name), outputs(new / "jobs" / name)

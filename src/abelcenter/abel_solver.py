@@ -169,12 +169,12 @@ def _step_cap(problem: AbelProblem) -> float:
 
 
 def _abel_rhs(problem: AbelProblem):
-    """The right-hand side (f(t) x + g(t)) x^2, for a scalar or vector state."""
+    """The right-hand side (f(t) x + g(t)) x^2 of a 1-d state, on floats per component."""
     fg = _pair_evaluator(problem.f, problem.g)
 
     def rhs(t, y):
         f, g = fg(t)
-        return (f * y + g) * y * y
+        return [(f * v + g) * v * v for v in y.tolist()]
 
     return rhs
 
@@ -203,14 +203,14 @@ def _solve_abel(
                 stacklevel=3,
             )
     escape = 10.0 * config.ball_radius
+    starts = rhos.tolist()
 
     def guard(t, y):
-        within = np.abs(y) <= escape  # False at NaN too
-        if not within.all():
-            rho = rhos[np.argmin(within)]
-            raise BlowUp(
-                f"|x({t:.6g})| exceeded {escape:.3g} starting from rho={rho:.6g}"
-            )
+        for rho, x in zip(starts, y.tolist()):
+            if not abs(x) <= escape:  # a NaN escapes too
+                raise BlowUp(
+                    f"|x({t:.6g})| exceeded {escape:.3g} starting from rho={rho:.6g}"
+                )
 
     return solve_dense(
         _abel_rhs(problem),
@@ -529,6 +529,8 @@ def operator_bound_check(
     if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
         raise ValidationError("need an integer sample_count of at least 2 to form a "
                               f"difference quotient, got {sample_count!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if not 0 <= rho < bound:
         raise ValidationError(

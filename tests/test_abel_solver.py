@@ -446,6 +446,39 @@ def test_max_norm_error_estimate_is_worst_component():
     assert ours._estimate_error_norm(K, 0.1, scale) == pytest.approx(worst, rel=1e-15)
 
 
+def _numpy_max_norm(K, h, scale, E5, E3):
+    """The per-component max norm as numpy arrays compute it."""
+    err5 = K.T.dot(E5) / scale
+    err3 = K.T.dot(E3) / scale
+    err5_2 = err5 * err5
+    denom = np.sqrt(err5_2 + 0.01 * (err3 * err3))
+    ratio = np.divide(err5_2, denom, out=np.zeros(denom.shape), where=denom > 0)
+    return abs(h) * float(ratio.max())
+
+
+def test_max_norm_error_estimate_is_the_numpy_expression_bit_for_bit():
+    # the float loop against the array expression, on K with zeros, infinities,
+    # NaNs and entries whose squares overflow or underflow
+    rng = np.random.default_rng(23)
+    ours = MaxNormDOP853(lambda t, y: -y, 0.0, np.ones(8), 1.0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300])
+    rows, outcomes = DOP853.n_stages + 1, Counter()
+    for trial in range(12_000):
+        m = trial % 8 + 1
+        K = rng.normal(size=(rows, m)) * 10.0 ** rng.uniform(-200, 200, size=m)
+        mask = rng.random((rows, m)) < rng.choice([0.0, 0.02, 0.2])
+        K[mask] = rng.choice(special, size=int(mask.sum()))
+        h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 0))
+        scale = 10.0 ** rng.uniform(-12, 0, size=m)
+        with np.errstate(all="ignore"):  # the dots, numpy's on both sides, warn at inf - inf
+            want = _numpy_max_norm(K, h, scale, ours.E5, ours.E3)
+            got = ours._estimate_error_norm(K, h, scale)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want)), (K, h, scale)
+        outcomes["nan" if math.isnan(got) else "zero" if got == 0 else "positive"] += 1
+    assert set(outcomes) == {"nan", "zero", "positive"}
+
+
 @pytest.mark.parametrize("name", ["focus_problem", "cubic_problem", "cos2pit_even_problem"])
 def test_scan_returns_match_single_return_maps(name, config, request):
     problem = request.getfixturevalue(name)
@@ -833,6 +866,12 @@ def test_bound_probe_needs_an_integer_sample_count(tt_problem, config, sample_co
         operator_bound_check(tt_problem, 0.01, config, sample_count=sample_count)
 
 
+@pytest.mark.parametrize("seed", [2.5, "3", -1, True])
+def test_bound_probe_needs_a_non_negative_integer_seed(tt_problem, config, seed):
+    with pytest.raises(ValidationError, match="seed"):
+        operator_bound_check(tt_problem, 0.01, config, sample_count=4, seed=seed)
+
+
 def test_bound_probe_deterministic(tt_problem, config):
     a = operator_bound_check(tt_problem, 0.05, config, sample_count=6, seed=11)
     b = operator_bound_check(tt_problem, 0.05, config, sample_count=6, seed=11)
@@ -967,6 +1006,65 @@ def test_abel_rhs_is_the_two_evaluator_formula_bit_for_bit(m, cubic_system):
             want = (f_ev(t) * y + g_ev(t)) * y * y
             assert np.array_equal(rhs(t, y), want)
             assert np.array_equal(rhs(t, y), want)  # the memo's answer at the same t
+
+
+def test_abel_rhs_is_the_numpy_expression_at_non_finite_and_huge_states(cubic_system):
+    # 1e200 overflows in x^2, 0 * inf and inf - inf are NaN: the floats give
+    # numpy's values, and no RuntimeWarning
+    rng = np.random.default_rng(5)
+    problems = [abel_from_planar(cubic_system), poly_problem([], [5.0]),
+                cos2pit_problem([0.5, 1, 0.3], [0.2, 1, 0, 0.5])]
+    states = np.array([np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-200, 0.0, -0.0, 0.05])
+    for problem in problems:
+        rhs, fg = _abel_rhs(problem), reduction._pair_evaluator(problem.f, problem.g)
+        for t in [0.0, *rng.uniform(-1.0, 1.0, 20).tolist()]:
+            f, g = fg(t)
+            for y in (states, rng.permutation(states)[:3], states[3:4]):
+                with np.errstate(all="ignore"):
+                    want = (f * y + g) * y * y
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = rhs(t, y)
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def _scan_guard(monkeypatch, problem, rhos, config):
+    """The on_step guard that _solve_abel hands to solve_dense for ``rhos``."""
+    kwargs = {}
+
+    def recorded(rhs, t0, y0, t_bound, config, **options):
+        kwargs.update(options)
+        return None, t_bound, np.asarray(y0)
+
+    monkeypatch.setattr(abel_solver, "solve_dense", recorded)
+    abel_solver._solve_abel(problem, rhos, config, dense=False)
+    return kwargs["on_step"]
+
+
+def test_scan_guard_names_the_rho_numpy_argmin_names(monkeypatch, config):
+    rhos = np.linspace(0.01, 0.08, 8)
+    guard = _scan_guard(monkeypatch, poly_problem([], [1.0]), rhos, config)
+    escape = 10.0 * config.ball_radius
+    rng = np.random.default_rng(31)
+    # in range (the bound itself included), beyond it, infinite, NaN
+    kinds = [lambda: rng.uniform(-escape, escape), lambda: escape, lambda: -escape,
+             lambda: rng.choice([-1, 1]) * escape * 10.0 ** rng.uniform(1e-12, 300),
+             lambda: rng.choice([-np.inf, np.inf]), lambda: np.nan]
+    raised = 0
+    for _ in range(2000):
+        choice = rng.choice(len(kinds), size=8, p=[0.8, 0.03, 0.03, 0.05, 0.04, 0.05])
+        y = np.array([kinds[k]() for k in choice])
+        within = np.abs(y) <= escape
+        if within.all():
+            guard(0.25, y)
+            continue
+        rho = rhos[np.argmin(within)]
+        message = f"|x(0.25)| exceeded {escape:.3g} starting from rho={rho:.6g}"
+        with pytest.raises(BlowUp) as caught:
+            guard(0.25, y)
+        assert str(caught.value) == message
+        raised += 1
+    assert 500 < raised < 1500
 
 
 def test_return_map_evaluates_coefficients_once_per_stage_time(config, monkeypatch):

@@ -6,7 +6,10 @@ import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,12 +50,31 @@ def test_crosscheck_script_agrees_across_the_three_routes():
         assert defect < 1e-9 and gap < 1e-9
 
 
-def test_compare_cli_outputs_finds_a_tree_identical_to_itself(capsys):
-    # in-process, so the only subprocesses are the script's two workers
+def load_compare_cli_outputs():
     spec = importlib.util.spec_from_file_location(
         "compare_cli_outputs", ROOT / "scripts" / "compare_cli_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_compare_cli_outputs_finds_a_tree_identical_to_itself(capsys):
+    # in-process, so the only subprocesses are the script's two workers
+    script = load_compare_cli_outputs()
     src = str(ROOT / "src")
     assert script.main([src, src]) == 0
     assert capsys.readouterr().out.splitlines() == ["99 jobs: 99 identical, 0 different"]
+
+
+def test_compare_cli_outputs_records_every_warning_of_a_job():
+    # numpy's overflow warning counts, and a repeat is not folded into one
+    script = load_compare_cli_outputs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as in the workers, run with -W ignore
+        with script.recorded_warnings() as warned:
+            np.float64(1e308) * 10.0
+            for _ in range(2):
+                warnings.warn("initial value 0.3 is outside", UserWarning)
+    assert warned == [["RuntimeWarning", "overflow encountered in scalar multiply"],
+                      ["UserWarning", "initial value 0.3 is outside"],
+                      ["UserWarning", "initial value 0.3 is outside"]]
