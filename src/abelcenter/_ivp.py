@@ -260,22 +260,22 @@ def solve_dense(
     dense: bool = True,
     per_component: bool = False,
     on_step: Callable[[float, np.ndarray], None] | None = None,
-    stop: Callable[[float, np.ndarray], bool] | None = None,
+    stop: Callable[[float, np.ndarray, np.ndarray], bool] | None = None,
 ) -> tuple[DenseSolution | None, float, np.ndarray]:
     """Integrate to ``t_bound`` (may be ``np.inf`` when ``stop`` is given).
 
-    ``config`` supplies ``rel_tol``, ``abs_tol`` and ``max_steps``;
-    ``max_step`` caps the step size.  ``on_step`` runs after every
-    accepted step and may raise to abort; a state that is still
-    non-finite after it raises :class:`BlowUp`.  ``stop`` ends the
-    integration once it returns True.  Returns the dense solution
-    (``None`` when ``dense`` is False) together with the final time and
-    state.  With ``per_component`` every component must meet the
-    tolerances on its own (:class:`MaxNormDOP853`) instead of in DOP853's
-    RMS norm.  A non-finite ``y0`` raises :class:`ValidationError`, and a
-    non-finite initial derivative :class:`BlowUp` before any step, after
-    ``on_step`` has seen the initial state: DOP853 would take a NaN first
-    step and never return from it.
+    ``config`` supplies ``rel_tol``, ``abs_tol`` and ``max_steps``; ``max_step``
+    caps the step size.  ``on_step`` runs after every accepted step and may raise
+    to abort; a state that is still non-finite after it raises :class:`BlowUp`.
+    ``stop(t, y, dy)`` then sees that finite state and ``dy``, the step's end slope
+    (DOP853's right-hand side at ``y``); it may raise too, and a True ends the
+    integration.  Returns the dense solution (``None`` when ``dense`` is False)
+    together with the final time and state.  With ``per_component`` every component
+    must meet the tolerances on its own (:class:`MaxNormDOP853`) instead of in
+    DOP853's RMS norm.  A non-finite ``y0`` raises :class:`ValidationError`, and a
+    non-finite initial derivative :class:`BlowUp` before any step, after ``on_step``
+    has seen the initial state: DOP853 would take a NaN first step and never return
+    from it.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
@@ -305,7 +305,7 @@ def solve_dense(
         # plain floats: numpy's reduction costs more than these small states
         if not all(map(math.isfinite, solver.y.tolist())):
             raise BlowUp(f"non-finite state at t={solver.t:.6g}")
-        if stop is not None and stop(solver.t, solver.y):
+        if stop is not None and stop(solver.t, solver.y, solver.f):
             break
     solution = DenseSolution([t0, *(seg.t for seg in segments)], segments) if dense else None
     return solution, solver.t, solver.y.copy()

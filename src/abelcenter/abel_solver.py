@@ -44,7 +44,7 @@ from .errors import (
     NotContractive,
     ValidationError,
 )
-from .reduction import AbelProblem, _pair_evaluator
+from .reduction import AbelProblem, _as_float, _pair_evaluator
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -95,10 +95,8 @@ class SolverConfig:
             raise ValidationError(
                 f"grid_points must lie between 8 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
-        try:
-            *tols, ball_radius = map(float, reals)
-        except OverflowError:
-            raise ValidationError("tolerances and ball_radius must be finite floats") from None
+        names = ("rel_tol", "abs_tol", "picard_tol", "ball_radius")
+        *tols, ball_radius = map(_as_float, reals, names)
         if not all(0 < v < math.inf for v in tols):
             raise ValidationError("tolerances must be positive and finite")
         if not 0 < ball_radius < math.inf:
@@ -130,20 +128,13 @@ class Trajectory:
         return float(np.max(np.abs(self.values)))
 
 
-def _as_float(value, name: str) -> float:
-    """``float(value)``, raising :class:`ValidationError` where that overflows."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} lies beyond the float range") from None
-
-
 def rho_admissible_bound(problem: AbelProblem, ball_radius: float = 1.0) -> float:
     """Largest initial value the operator route is guaranteed to handle.
 
     Computed as min(M/2, 1/(4a(FM+G))) from the coefficient sup bounds.
     Requires those bounds, so sampled coefficients must declare them.
     """
+    ball_radius = _as_float(ball_radius, "ball_radius")
     if ball_radius <= 0:
         raise ValidationError("ball_radius must be positive")
     F, G = problem.bounds()
@@ -339,6 +330,8 @@ def displacement_scan(
     x(a) meets the tolerances as if solved alone; the step cap of
     :func:`return_map` applies.  A blow-up of any rho aborts the scan.
     """
+    if rho_grid is None or isinstance(rho_grid, (str, numbers.Number)):  # "0.01" reads as digits
+        raise ValidationError(f"rho_grid must be an iterable of numbers, got {rho_grid!r}")
     rhos = np.asarray(sorted(_as_float(r, "rho") for r in rho_grid))
     if rhos.size == 0:
         raise ValidationError("rho grid must be nonempty")
@@ -428,6 +421,7 @@ def picard_operator(
     above 1/4 - a deliberate numerical safety margin below the theoretical 1/2
     threshold - and :class:`DenominatorTooSmall` is raised otherwise.
     """
+    rho = _as_float(rho, "rho")
     _require_grid_match(problem, x)
     t = x.nodes
     integrand = problem.f_values(t) * x.values + problem.g_values(t)
@@ -452,9 +446,10 @@ def picard_fixed_point(
     ``config.picard_tol`` in sup norm, and raises :class:`NoConvergence`
     if the iteration budget runs out first.
     """
+    rho = _as_float(rho, "rho")
     if rho < 0:
         raise ValidationError("the operator route handles nonnegative rho only")
-    if not math.isfinite(_as_float(rho, "rho")):
+    if not math.isfinite(rho):
         raise ValidationError(f"rho={rho} is not finite")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if rho >= bound:
@@ -468,7 +463,7 @@ def picard_fixed_point(
         raise NotContractive(f"contraction constant 8*a*rho^2*F = {rate:.6g} >= 1")
 
     nodes = np.linspace(-a, a, config.grid_points)
-    x = Trajectory(nodes=nodes, values=np.full_like(nodes, float(rho)), order=0)
+    x = Trajectory(nodes=nodes, values=np.full_like(nodes, rho), order=0)
     # Omega samples f and g at x.nodes, which stays this grid: sample it once
     fv, gv = problem.f_values(nodes), problem.g_values(nodes)
     on_grid = AbelProblem(
@@ -531,6 +526,7 @@ def operator_bound_check(
                               f"difference quotient, got {sample_count!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    rho = _as_float(rho, "rho")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if not 0 <= rho < bound:
         raise ValidationError(

@@ -44,7 +44,7 @@ from . import abel_solver, certifier, planar_solver
 from ._ivp import _RTOL_FLOOR
 from .abel_solver import SolverConfig
 from .errors import SolverError, ValidationError
-from .families import _half_width, cos2pit_problem, poly_problem
+from .families import cos2pit_problem, poly_problem
 from .reduction import AbelProblem, PlanarSystem, abel_from_planar
 from .trigpoly import TrigPoly
 
@@ -140,7 +140,7 @@ def _trig_from_payload(data, label: str) -> TrigPoly:
 
 def _trig_problem(f, g, half_width=math.pi) -> AbelProblem:
     f, g = _trig_from_payload(f, "f"), _trig_from_payload(g, "g")
-    return AbelProblem(f=f, g=g, half_width=_half_width(half_width))
+    return AbelProblem(f=f, g=g, half_width=half_width)
 
 
 def _problem_from_payload(payload: dict) -> AbelProblem:
@@ -212,8 +212,8 @@ def run_job(spec: dict, out_dir: Path) -> int:
     if command == "scan":
         grid = config.get("rho_grid")
         if grid is None:
-            grid = abel_solver.default_rho_grid(problem, solver).tolist()
-        report = abel_solver.displacement_scan(problem, [float(v) for v in grid], solver)
+            grid = abel_solver.default_rho_grid(problem, solver)
+        report = abel_solver.displacement_scan(problem, grid, solver)
         _write(out_dir, "scan.csv", abel_solver.report_to_csv(report))
         _write_json(out_dir, "scan.json", report.to_json_dict())
         print(f"classification: {report.classification.value}")

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .reduction import AbelProblem
+from .reduction import AbelProblem, _as_float
 from .trigpoly import TrigPoly, _parity
 
 __all__ = ["cos2pit_problem", "poly_problem"]
@@ -49,16 +49,6 @@ def _parse_coeffs(values: Sequence, label: str) -> list[float]:
         if not math.isfinite(out[-1]):
             raise ValidationError(f"coefficient {v!r} in {label} is not finite")
     return out
-
-
-def _half_width(value) -> float:
-    """``value`` as a float, or :class:`ValidationError` if it is not a number."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a bool is not a number")
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad half_width {value!r}: {exc}") from exc
 
 
 def _poly_sup(coeffs: list[float], a: float) -> float:
@@ -110,7 +100,7 @@ def cos2pit_problem(
     return AbelProblem(
         f=f_of_t,
         g=g_of_t,
-        half_width=_half_width(half_width),
+        half_width=half_width,
         f_parity=f.parity(),
         g_parity=g.parity(),
         f_sup=f.linf_bound(),
@@ -124,7 +114,7 @@ def poly_problem(
     """Scalar problem with polynomial coefficients sum_i c_i t^i."""
     fc = _parse_coeffs(f_coeffs, "f")
     gc = _parse_coeffs(g_coeffs, "g")
-    a = _half_width(half_width)
+    a = _as_float(half_width, "half_width")
 
     def ev(coeffs: list[float]):
         top, *rest = (coeffs or [0.0])[::-1]

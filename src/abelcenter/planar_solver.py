@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ivp import solve_dense
-from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _as_float, _csv
+from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _csv
 from .errors import BlowUp, LeftMonotoneRegion, SolverError, ValidationError
 from .reduction import (
     PlanarSystem,
+    _as_float,
     abel_from_planar,
     cherkas_forward,
     cherkas_inverse,
@@ -113,24 +114,18 @@ def integrate_planar(
         )
 
     def guard(t, state):
-        x, y, _ = state
-        r = math.hypot(x, y)
+        r = math.hypot(state[0], state[1])
         if r > escape:
             raise BlowUp(f"orbit escaped r={r:.6g} > {escape:.6g} at t={t:.6g}")
-        if rhs(t, state)[2] <= 0.0:
-            raise LeftMonotoneRegion(
-                f"angular speed dropped to zero at t={t:.6g}, r={r:.6g}"
-            )
 
-    dense, t_end, _ = solve_dense(
-        rhs,
-        0.0,
-        [x0, y0, theta0],
-        np.inf,
-        config,
-        on_step=guard,
-        stop=lambda t, state: state[2] >= target,
-    )
+    def stop(t, state, slope):  # the step's end slope is the RHS at ``state``
+        if slope[2] <= 0.0:
+            raise LeftMonotoneRegion(f"angular speed dropped to zero at t={t:.6g}, "
+                                     f"r={math.hypot(state[0], state[1]):.6g}")
+        return state[2] >= target
+
+    dense, t_end, _ = solve_dense(rhs, 0.0, [x0, y0, theta0], np.inf, config,
+                                  on_step=guard, stop=stop)
 
     # stop brackets the crossing in the last step: Newton on the interpolant
     t_star = t_end
@@ -170,7 +165,7 @@ def _polar_solution(n: int, A, B, r0: float, config: SolverConfig, dense=True):
     solution, _, y_end = solve_dense(
         rhs,
         0.0,
-        [float(r0)],
+        [r0],
         _TWO_PI,
         config,
         dense=dense,

@@ -53,6 +53,21 @@ __all__ = [
 Coefficient = Union[TrigPoly, Callable[[float], float]]
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)``, numeric strings included, for a real-number argument: a half-width,
+    an initial value, a radius.  A bool, a value ``float()`` rejects and one beyond the float
+    range raise :class:`ValidationError` naming ``name``.  Two inputs keep rules of their own:
+    ``SolverConfig`` takes no string tolerance, and coefficient lists read rationals ("1/2")."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} lies beyond the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {name} {value!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class HomogPoly:
     """Homogeneous polynomial sum_j c_j x^(n-j) y^j with exact coefficients.
@@ -230,6 +245,7 @@ class AbelProblem:
     origin: PlanarReduction | None = None
 
     def __post_init__(self) -> None:
+        self.half_width = _as_float(self.half_width, "half_width")
         # below the smallest normal float, a node grid on [-a, a] repeats nodes
         if not sys.float_info.min <= self.half_width <= sys.float_info.max:
             raise ValidationError("half_width must be a finite float of at least "
@@ -328,6 +344,7 @@ def cherkas_forward(r: float, theta: float, B: Coefficient, n: int) -> float:
     Defined only where the angular speed 1 + B(theta) r^(n-1) is positive;
     outside that region :class:`OutsideMonotoneRegion` is raised.
     """
+    r, theta = _as_float(r, "r"), _as_float(theta, "theta")
     if r < 0:
         raise ValidationError("radius must be nonnegative")
     if n < 2:
@@ -347,6 +364,7 @@ def cherkas_inverse(gamma: float, theta: float, B: Coefficient, n: int) -> float
     Requires gamma >= 0 and 1 - B(theta) gamma > 0 (the image of the
     forward map); otherwise :class:`OutsideTransformImage` is raised.
     """
+    gamma, theta = _as_float(gamma, "gamma"), _as_float(theta, "theta")
     if n < 2:
         raise ValidationError("degree must be >= 2")
     if gamma < 0:

@@ -331,7 +331,7 @@ def _solve_until_turn(config, per_component):
         warnings.simplefilter("always")
         sol, t_end, y_end = solve_dense(
             rhs, 0.0, [0.3, 0.1, 0.0], np.inf, config,
-            per_component=per_component, stop=lambda t, y: y[2] >= 2.0 * math.pi,
+            per_component=per_component, stop=lambda t, y, dy: y[2] >= 2.0 * math.pi,
         )
     points = np.linspace(-0.1, t_end + 0.1, 2048)
     return [str(w.message) for w in warned], t_end, y_end, len(calls), sol(points)
@@ -395,7 +395,7 @@ def test_step_loop_scalars_are_python_floats(monkeypatch, m, t_bound, per_compon
         return -y + np.cos(3.0 * t)
 
     config = SolverConfig(rel_tol=1e-10, abs_tol=1e-12)
-    stop = (lambda t, y: t >= 2.0) if t_bound == np.inf else None
+    stop = (lambda t, y, dy: t >= 2.0) if t_bound == np.inf else None
     _, t_end, _ = solve_dense(rhs, np.float64(-1.0), np.linspace(1.0, 2.0, m), t_bound, config,
                               per_component=per_component, stop=stop,
                               on_step=lambda t, y: times.append(t))
@@ -613,6 +613,13 @@ def test_scan_rejects_bad_grids(t_problem):
         displacement_scan(t_problem, [])
     with pytest.raises(ValidationError):
         displacement_scan(t_problem, [0.01, -0.02])
+
+
+@pytest.mark.parametrize("grid", [0.01, "0.01", None], ids=["float", "str", "None"])
+def test_scan_grid_must_be_an_iterable_of_numbers(t_problem, grid):
+    # a string would be iterated character by character
+    with pytest.raises(ValidationError, match="rho_grid"):
+        displacement_scan(t_problem, grid)
 
 
 def test_scan_rejects_repeated_rhos(focus_problem):

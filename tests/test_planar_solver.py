@@ -12,23 +12,32 @@ import pytest
 from scipy.integrate import DOP853
 
 from abelcenter import (
+    AbelProblem,
     BlowUp,
     HomogPoly,
     LeftMonotoneRegion,
     PlanarSystem,
     SolverError,
+    Trajectory,
     ValidationError,
+    cherkas_forward,
+    cherkas_inverse,
+    cos2pit_problem,
     crosscheck_cherkas,
     displacement_scan,
     integrate_abel,
     integrate_planar,
+    operator_bound_check,
     picard_fixed_point,
+    picard_operator,
     planar_trajectory_to_csv,
     poly_problem,
     polar_return_map,
     return_map,
+    rho_admissible_bound,
 )
 from abelcenter import _ivp, planar_solver, reduction
+from abelcenter._ivp import solve_dense
 from abelcenter.planar_solver import _polar_solution
 from abelcenter.reduction import compute_AB
 from conftest import make_zero_radial, parity_corpus
@@ -77,6 +86,57 @@ def test_non_finite_or_fractional_inputs_raise_validation_error(cubic_system, ca
 def test_initial_values_beyond_floats_raise_validation_error(cubic_system, call):
     with pytest.raises(ValidationError, match="float range"):
         call(poly_problem([0, 1], [0, 1]), cubic_system)
+
+
+def _zero_trajectory(problem) -> Trajectory:
+    nodes = np.linspace(-problem.half_width, problem.half_width, 9)
+    return Trajectory(nodes=nodes, values=np.zeros(9), order=0)
+
+
+# (id, argument name, call with the argument set to v), p a scalar problem, s a planar system
+_GATED_ARGUMENTS = [
+    ("AbelProblem", "half_width", lambda p, s, v: AbelProblem(f=p.f, g=p.g, half_width=v)),
+    ("rho_admissible_bound", "ball_radius", lambda p, s, v: rho_admissible_bound(p, v)),
+    ("return_map", "rho", lambda p, s, v: return_map(p, v)),
+    ("integrate_abel", "rho", lambda p, s, v: integrate_abel(p, v)),
+    ("displacement_scan", "rho", lambda p, s, v: displacement_scan(p, [0.01, v])),
+    ("picard_operator", "rho", lambda p, s, v: picard_operator(p, v, _zero_trajectory(p))),
+    ("picard_fixed_point", "rho", lambda p, s, v: picard_fixed_point(p, v)),
+    ("operator_bound_check", "rho", lambda p, s, v: operator_bound_check(p, v)),
+    ("integrate_planar-x0", "x0", lambda p, s, v: integrate_planar(s, v, 0.0)),
+    ("integrate_planar-y0", "y0", lambda p, s, v: integrate_planar(s, 0.05, v)),
+    ("polar_return_map", "r0", lambda p, s, v: polar_return_map(s, v)),
+    ("crosscheck_cherkas", "r0", lambda p, s, v: crosscheck_cherkas(s, v)),
+    ("cherkas_forward-r", "r", lambda p, s, v: cherkas_forward(v, 0.0, compute_AB(s)[1], 3)),
+    ("cherkas_forward-theta", "theta",
+     lambda p, s, v: cherkas_forward(0.05, v, compute_AB(s)[1], 3)),
+    ("cherkas_inverse-gamma", "gamma",
+     lambda p, s, v: cherkas_inverse(v, 0.0, compute_AB(s)[1], 3)),
+    ("cherkas_inverse-theta", "theta",
+     lambda p, s, v: cherkas_inverse(0.0025, v, compute_AB(s)[1], 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(None, None), ("abc", None), (True, None), (10**400, "float range")],
+    ids=["None", "abc", "True", "10**400"],
+)
+@pytest.mark.parametrize("name, call", [entry[1:] for entry in _GATED_ARGUMENTS],
+                         ids=[entry[0] for entry in _GATED_ARGUMENTS])
+def test_real_arguments_pass_one_float_gate(cubic_system, name, call, value, message):
+    # every real-number argument is converted before it is compared or used
+    with pytest.raises(ValidationError, match=rf"\b{name}\b") as raised:
+        call(poly_problem([0, 1], [0, 1]), cubic_system, value)
+    assert message is None or message in str(raised.value)
+
+
+def test_numeric_strings_convert_as_float_does():
+    problem = poly_problem([0, 1], [0, 1])
+    assert return_map(problem, "0.01") == return_map(problem, 0.01)
+    from_string, from_float = picard_fixed_point(problem, "0.01"), picard_fixed_point(problem, 0.01)
+    assert np.array_equal(from_string.values, from_float.values)
+    assert cos2pit_problem([0, 1], [0, 1], "0.5").half_width == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +274,30 @@ def test_orbit_leaves_monotone_region_mid_turn():
     )
     with pytest.raises(LeftMonotoneRegion):
         integrate_planar(system, 0.55, 0.0)
+
+
+def test_angular_speed_test_reads_the_step_end_slope(cubic_system, config, monkeypatch):
+    # the Cartesian RHS evaluates P once; outside the solve it runs for the initial
+    # angular-speed check and the 4 Newton steps on the section crossing
+    calls = {"P": 0, "rhs": 0}
+
+    class CountingPoly(HomogPoly):
+        def eval(self, x, y):
+            calls["P"] += 1
+            return super().eval(x, y)
+
+    def counting_solve_dense(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls["rhs"] += 1
+            return rhs(t, y)
+
+        return solve_dense(counted, *args, **kwargs)
+
+    expected = integrate_planar(cubic_system, 0.05, 0.0, config).return_radius
+    monkeypatch.setattr(planar_solver, "solve_dense", counting_solve_dense)
+    system = PlanarSystem(n=3, P=CountingPoly(cubic_system.P.coeffs), Q=cubic_system.Q)
+    assert integrate_planar(system, 0.05, 0.0, config).return_radius == expected
+    assert calls["rhs"] > 100 and calls["P"] == calls["rhs"] + 5
 
 
 def test_polar_route_detects_monotone_region_exit():
