@@ -44,7 +44,7 @@ from .errors import (
     NotContractive,
     ValidationError,
 )
-from .reduction import AbelProblem, _as_float, _pair_evaluator
+from .reduction import AbelProblem, _as_count, _as_float, _pair_evaluator, _rho_grid
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -85,24 +85,18 @@ class SolverConfig:
     grid_points: int = 2048
 
     def __post_init__(self) -> None:
-        counts = (self.max_steps, self.picard_max_iter, self.grid_points)
+        _as_count(self.max_steps, "max_steps", 1)
+        _as_count(self.picard_max_iter, "picard_max_iter", 1)
+        _as_count(self.grid_points, "grid_points", 8, MAX_GRID_POINTS)
         reals = (self.rel_tol, self.abs_tol, self.picard_tol, self.ball_radius)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
-            raise ValidationError("max_steps, picard_max_iter and grid_points must be integers")
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in reals):
             raise ValidationError("tolerances and ball_radius must be real numbers")
-        if not 8 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValidationError(
-                f"grid_points must lie between 8 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
-            )
         names = ("rel_tol", "abs_tol", "picard_tol", "ball_radius")
         *tols, ball_radius = map(_as_float, reals, names)
         if not all(0 < v < math.inf for v in tols):
             raise ValidationError("tolerances must be positive and finite")
         if not 0 < ball_radius < math.inf:
             raise ValidationError("ball_radius must be positive and finite")
-        if self.max_steps < 1 or self.picard_max_iter < 1:
-            raise ValidationError("max_steps and picard_max_iter must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -330,11 +324,7 @@ def displacement_scan(
     x(a) meets the tolerances as if solved alone; the step cap of
     :func:`return_map` applies.  A blow-up of any rho aborts the scan.
     """
-    if rho_grid is None or isinstance(rho_grid, (str, numbers.Number)):  # "0.01" reads as digits
-        raise ValidationError(f"rho_grid must be an iterable of numbers, got {rho_grid!r}")
-    rhos = np.asarray(sorted(_as_float(r, "rho") for r in rho_grid))
-    if rhos.size == 0:
-        raise ValidationError("rho grid must be nonempty")
+    rhos = np.asarray(sorted(_rho_grid(rho_grid)))
     if np.any(rhos <= 0):
         raise ValidationError("rho grid entries must be positive")
     if np.any(np.diff(rhos) == 0):
@@ -521,11 +511,8 @@ def operator_bound_check(
     Lipschitz constant.  The observed maxima should stay below the
     ceilings up to quadrature error.
     """
-    if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
-        raise ValidationError("need an integer sample_count of at least 2 to form a "
-                              f"difference quotient, got {sample_count!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    _as_count(sample_count, "sample_count", 2)  # two inputs form a difference quotient
+    _as_count(seed, "seed", 0)
     rho = _as_float(rho, "rho")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if not 0 <= rho < bound:

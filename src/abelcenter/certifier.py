@@ -34,7 +34,7 @@ import numpy as np
 from .abel_solver import DEFAULT_CONFIG, SolverConfig, _cumulative_simpson, integrate_abel
 from .errors import ValidationError
 from .reduction import AbelProblem, PlanarSystem, abel_from_planar
-from .reduction import _coefficient_values
+from .reduction import _coefficient_values, _rho_grid
 from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
 __all__ = [
@@ -292,9 +292,7 @@ def moment_conditions(
     are composite-Simpson integrals on its dense grid.  Initial values
     outside the admissible radius inherit the integrator's warning.
     """
-    rhos = np.asarray([float(r) for r in rho_grid])
-    if rhos.size == 0:
-        raise ValidationError("rho grid must be nonempty")
+    rhos = np.asarray(_rho_grid(rho_grid))
 
     a = problem.half_width
     if isinstance(problem.g, TrigPoly) and math.isclose(a, math.pi, rel_tol=1e-15):
@@ -310,7 +308,7 @@ def moment_conditions(
 
     moments = np.empty_like(rhos)
     for i, rho in enumerate(rhos):
-        traj = integrate_abel(problem, float(rho), config)
+        traj = integrate_abel(problem, rho, config)
         integrand = problem.f_values(traj.nodes) * traj.values
         moments[i] = _cumulative_simpson(integrand, traj.nodes)[-1]
     return MomentReport(

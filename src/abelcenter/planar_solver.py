@@ -21,7 +21,6 @@ is shared, and the transformed path uses the Abel right-hand side of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rh
 from .errors import BlowUp, LeftMonotoneRegion, SolverError, ValidationError
 from .reduction import (
     PlanarSystem,
+    _as_count,
     _as_float,
     abel_from_planar,
     cherkas_forward,
@@ -195,10 +195,7 @@ def crosscheck_cherkas(
     two computations share nothing but the integrator core, so a small
     defect validates the whole change-of-variables chain.
     """
-    if not isinstance(samples, numbers.Integral) or not 2 <= samples <= MAX_GRID_POINTS:
-        raise ValidationError(
-            f"samples must be an integer between 2 and MAX_GRID_POINTS = {MAX_GRID_POINTS}"
-        )
+    _as_count(samples, "samples", 2, MAX_GRID_POINTS)
     problem = abel_from_planar(system)
     abel_rhs = _abel_rhs(problem)  # f and g leave the float range before A and B do
     B = problem.origin.B

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,17 +56,36 @@ Coefficient = Union[TrigPoly, Callable[[float], float]]
 
 def _as_float(value, name: str) -> float:
     """``float(value)``, numeric strings included, for a real-number argument: a half-width,
-    an initial value, a radius.  A bool, a value ``float()`` rejects and one beyond the float
-    range raise :class:`ValidationError` naming ``name``.  Two inputs keep rules of their own:
-    ``SolverConfig`` takes no string tolerance, and coefficient lists read rationals ("1/2")."""
+    an initial value, a radius, a sup bound.  A bool (numpy's too), a value ``float()`` rejects
+    and one beyond the float range raise :class:`ValidationError` naming ``name``.  Rules of
+    their own: ``SolverConfig`` takes no string tolerance; coefficient lists read "1/2"."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError("a bool is not a number")
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} lies beyond the float range") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad {name} {value!r}: {exc}") from exc
+
+
+def _as_count(value, name: str, low: int, high: float = math.inf) -> None:
+    """Check a count (a step cap, a sample count, a seed, a degree): a non-bool integer, numpy's
+    included, in [low, high]; anything else raises :class:`ValidationError` naming ``name``."""
+    if type(value) is bool or not (isinstance(value, numbers.Integral) and low <= value <= high):
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def _rho_grid(values) -> list[float]:
+    """The entries of a nonempty grid of initial values, each through :func:`_as_float` as rho.
+    A string (it would read as its digits), a number, ``None`` or a 0-d array is no grid."""
+    if (values is None or isinstance(values, (str, numbers.Number))
+            or getattr(values, "ndim", 1) == 0):
+        raise ValidationError(f"rho_grid must be an iterable of numbers, got {values!r}")
+    rhos = [_as_float(r, "rho") for r in values]
+    if not rhos:
+        raise ValidationError("rho grid must be nonempty")
+    return rhos
 
 
 @dataclass(frozen=True)
@@ -101,8 +121,7 @@ class HomogPoly:
     @classmethod
     def monomial(cls, degree: int, y_power: int, c=1) -> "HomogPoly":
         """c * x^(degree - y_power) * y^y_power"""
-        if not 0 <= y_power <= degree:
-            raise ValidationError("y power must lie between 0 and the degree")
+        _as_count(y_power, "y_power", 0, degree)
         return cls((0,) * y_power + (c,) + (0,) * (degree - y_power))
 
     @functools.cached_property
@@ -136,8 +155,7 @@ class PlanarSystem:
     Q: HomogPoly
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationError(f"nonlinearity degree must be >= 2, got {self.n}")
+        _as_count(self.n, "n", 2)
         if self.P.degree != self.n or self.Q.degree != self.n:
             raise ValidationError(
                 f"P and Q must be homogeneous of degree n={self.n}, "
@@ -155,8 +173,6 @@ class PlanarSystem:
             Q = HomogPoly.from_json_list(data["Q"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed planar system payload: {exc}") from exc
-        if type(n) is not int:
-            raise ValidationError(f"the degree n must be an integer, got {n!r}")
         return cls(n=n, P=P, Q=Q)
 
 
@@ -256,6 +272,8 @@ class AbelProblem:
         if isinstance(self.g, TrigPoly):
             self.g_parity = self.g.parity()
             self.g_sup = self.g.linf_bound()
+        sup = lambda v, name: None if v is None else _as_float(v, name)
+        self.f_sup, self.g_sup = sup(self.f_sup, "f_sup"), sup(self.g_sup, "g_sup")
 
     def bounds(self) -> tuple[float, float]:
         """Sup-norm bounds (F, G) for the two coefficients."""
@@ -263,7 +281,7 @@ class AbelProblem:
             raise ValidationError("sampled coefficients need explicit f_sup/g_sup bounds")
         if not all(map(math.isfinite, (self.f_sup, self.g_sup))):
             raise ValidationError(f"sup bounds {self.f_sup}, {self.g_sup} are not both finite")
-        return float(self.f_sup), float(self.g_sup)
+        return self.f_sup, self.g_sup
 
     def f_values(self, ts: np.ndarray) -> np.ndarray:
         return _coefficient_values(self.f, ts)
@@ -347,8 +365,7 @@ def cherkas_forward(r: float, theta: float, B: Coefficient, n: int) -> float:
     r, theta = _as_float(r, "r"), _as_float(theta, "theta")
     if r < 0:
         raise ValidationError("radius must be nonnegative")
-    if n < 2:
-        raise ValidationError("degree must be >= 2")
+    _as_count(n, "n", 2)
     u = r ** (n - 1)
     denom = 1.0 + _value_at(B, theta) * u
     if denom <= 0.0:
@@ -365,8 +382,7 @@ def cherkas_inverse(gamma: float, theta: float, B: Coefficient, n: int) -> float
     forward map); otherwise :class:`OutsideTransformImage` is raised.
     """
     gamma, theta = _as_float(gamma, "gamma"), _as_float(theta, "theta")
-    if n < 2:
-        raise ValidationError("degree must be >= 2")
+    _as_count(n, "n", 2)
     if gamma < 0:
         raise OutsideTransformImage(f"gamma={gamma:.6g} is negative")
     denom = 1.0 - _value_at(B, theta) * gamma

@@ -615,7 +615,8 @@ def test_scan_rejects_bad_grids(t_problem):
         displacement_scan(t_problem, [0.01, -0.02])
 
 
-@pytest.mark.parametrize("grid", [0.01, "0.01", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("grid", [0.01, "0.01", None, np.array(0.01)],
+                         ids=["float", "str", "None", "0-d"])
 def test_scan_grid_must_be_an_iterable_of_numbers(t_problem, grid):
     # a string would be iterated character by character
     with pytest.raises(ValidationError, match="rho_grid"):

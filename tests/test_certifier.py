@@ -477,6 +477,18 @@ def test_moment_grid_must_be_nonempty(cubic_problem):
         moment_conditions(cubic_problem, [])
 
 
+@pytest.mark.parametrize(
+    "grid, name",
+    [(0.01, "rho_grid"), ("0.01", "rho_grid"), (None, "rho_grid"), (np.array(0.01), "rho_grid"),
+     ([True], "rho"), ([np.True_], "rho"), ([None], "rho"), (["abc"], "rho"), ([10**400], "rho")],
+    ids=["float", "str", "None", "0-d", "True", "np.True_", "None-entry", "abc", "10**400"],
+)
+def test_moment_grid_must_be_an_iterable_of_numbers(cubic_problem, grid, name):
+    # the scan's grid gate: a string would be iterated character by character
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        moment_conditions(cubic_problem, grid)
+
+
 def test_moment_report_tracks_grid(cubic_problem, config):
     report = moment_conditions(cubic_problem, [0.01, 0.02], config)
     assert report.rhos.shape == (2,)

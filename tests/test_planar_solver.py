@@ -17,6 +17,7 @@ from abelcenter import (
     HomogPoly,
     LeftMonotoneRegion,
     PlanarSystem,
+    SolverConfig,
     SolverError,
     Trajectory,
     ValidationError,
@@ -96,6 +97,10 @@ def _zero_trajectory(problem) -> Trajectory:
 # (id, argument name, call with the argument set to v), p a scalar problem, s a planar system
 _GATED_ARGUMENTS = [
     ("AbelProblem", "half_width", lambda p, s, v: AbelProblem(f=p.f, g=p.g, half_width=v)),
+    ("AbelProblem-f_sup", "f_sup",
+     lambda p, s, v: AbelProblem(f=p.f, g=p.g, f_sup=v, g_sup=1.0).bounds()),
+    ("AbelProblem-g_sup", "g_sup",
+     lambda p, s, v: AbelProblem(f=p.f, g=p.g, f_sup=1.0, g_sup=v).bounds()),
     ("rho_admissible_bound", "ball_radius", lambda p, s, v: rho_admissible_bound(p, v)),
     ("return_map", "rho", lambda p, s, v: return_map(p, v)),
     ("integrate_abel", "rho", lambda p, s, v: integrate_abel(p, v)),
@@ -119,8 +124,8 @@ _GATED_ARGUMENTS = [
 
 @pytest.mark.parametrize(
     "value, message",
-    [(None, None), ("abc", None), (True, None), (10**400, "float range")],
-    ids=["None", "abc", "True", "10**400"],
+    [(None, None), ("abc", None), (True, None), (np.True_, None), (10**400, "float range")],
+    ids=["None", "abc", "True", "np.True_", "10**400"],
 )
 @pytest.mark.parametrize("name, call", [entry[1:] for entry in _GATED_ARGUMENTS],
                          ids=[entry[0] for entry in _GATED_ARGUMENTS])
@@ -129,6 +134,45 @@ def test_real_arguments_pass_one_float_gate(cubic_system, name, call, value, mes
     with pytest.raises(ValidationError, match=rf"\b{name}\b") as raised:
         call(poly_problem([0, 1], [0, 1]), cubic_system, value)
     assert message is None or message in str(raised.value)
+
+
+# (id, argument name, its floor, an accepted value, call with the argument set to v)
+_COUNT_ARGUMENTS = [
+    ("SolverConfig-max_steps", "max_steps", 1, 10, lambda p, s, v: SolverConfig(max_steps=v)),
+    ("SolverConfig-picard_max_iter", "picard_max_iter", 1, 10,
+     lambda p, s, v: SolverConfig(picard_max_iter=v)),
+    ("SolverConfig-grid_points", "grid_points", 8, 8,
+     lambda p, s, v: SolverConfig(grid_points=v)),
+    ("crosscheck_cherkas", "samples", 2, 8, lambda p, s, v: crosscheck_cherkas(s, 0.05, samples=v)),
+    ("operator_bound_check-sample_count", "sample_count", 2, 2,
+     lambda p, s, v: operator_bound_check(p, 0.01, sample_count=v)),
+    ("operator_bound_check-seed", "seed", 0, 3,
+     lambda p, s, v: operator_bound_check(p, 0.01, sample_count=2, seed=v)),
+    ("PlanarSystem", "n", 2, 3, lambda p, s, v: PlanarSystem(n=v, P=s.P, Q=s.Q)),
+    ("PlanarSystem.from_json_dict", "n", 2, 3,
+     lambda p, s, v: PlanarSystem.from_json_dict({**s.to_json_dict(), "n": v})),
+    ("HomogPoly.monomial", "y_power", 0, 1, lambda p, s, v: HomogPoly.monomial(3, v)),
+    ("cherkas_forward", "n", 2, 3, lambda p, s, v: cherkas_forward(0.05, 0.0, compute_AB(s)[1], v)),
+    ("cherkas_inverse", "n", 2, 3,
+     lambda p, s, v: cherkas_inverse(0.0025, 0.0, compute_AB(s)[1], v)),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, "8", "floor - 1"],
+                         ids=["2.5", "True", "np.True_", "str", "below-floor"])
+@pytest.mark.parametrize("name, low, call", [(e[1], e[2], e[4]) for e in _COUNT_ARGUMENTS],
+                         ids=[entry[0] for entry in _COUNT_ARGUMENTS])
+def test_count_arguments_pass_one_count_gate(cubic_system, name, low, call, value):
+    value = low - 1 if value == "floor - 1" else value
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer in \[{low}, "):
+        call(poly_problem([0, 1], [0, 1]), cubic_system, value)
+
+
+@pytest.mark.parametrize("ok, call", [entry[3:] for entry in _COUNT_ARGUMENTS],
+                         ids=[entry[0] for entry in _COUNT_ARGUMENTS])
+def test_numpy_integer_counts_act_as_ints(cubic_system, ok, call):
+    problem = poly_problem([0, 1], [0, 1])
+    assert call(problem, cubic_system, np.int64(ok)) == call(problem, cubic_system, ok)
 
 
 def test_numeric_strings_convert_as_float_does():
