@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Certify and scan a randomized corpus of parity-symmetric planar systems.
+"""Certify and scan a randomized corpus of planar centers of two kinds.
 
-Each system has the monomial shape P = a x^N1 y^M1, Q = b x^N2 y^M2 with
-M1 odd and M2 even, so the symbolic layer certifies a center; the
-displacement scan then confirms the certificate numerically.  The script
-prints one row per system with the certificate basis, the scan verdict,
-and the worst displacement over the default grid.
+The rows alternate.  Even rows have the monomial shape P = a x^N1 y^M1,
+Q = b x^N2 y^M2 with M1 odd and M2 even, so the planar parity test
+certifies a center.  Odd rows are quadratics P = (q/2)(x^2 - y^2) + p xy,
+Q = q xy with q != 0: no circle parity test applies, but the reduced
+coefficients f and g are odd, so the paper's odd-coefficient theorem
+certifies a center.  The displacement scan then confirms each certificate
+numerically.  The script prints one row per system with the certificate
+basis and verdict, the scan verdict, and the worst displacement over the
+default grid.
 """
 
 from __future__ import annotations
 
 import argparse
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,14 +48,29 @@ def make_system(rng: np.random.Generator) -> PlanarSystem:
     )
 
 
-def describe(system: PlanarSystem) -> str:
-    def term(p: HomogPoly) -> str:
-        for j, c in enumerate(p.coeffs):
-            if c:
-                return f"{c}*x^{p.degree - j}*y^{j}"
-        return "0"
+def quadratic_subclass(p, q) -> PlanarSystem:
+    """P = (q/2)(x^2 - y^2) + p xy, Q = q xy.
 
-    return f"n={system.n}  P={term(system.P):>14}  Q={term(system.Q):>14}"
+    For q != 0 neither the planar parity test nor a nonzero mean of A
+    decides, yet the reduced f and g are both odd.
+    """
+    p, q = Fraction(p), Fraction(q)
+    return PlanarSystem(n=2, P=HomogPoly((q / 2, p, -q / 2)), Q=HomogPoly((0, q, 0)))
+
+
+def make_quadratic(rng: np.random.Generator) -> PlanarSystem:
+    """Random member of :func:`quadratic_subclass` with small integer p and q != 0."""
+    p = int(rng.integers(-3, 4))
+    q = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return quadratic_subclass(p, q)
+
+
+def describe(system: PlanarSystem) -> str:
+    def poly(p: HomogPoly) -> str:
+        terms = [f"{c}*x^{p.degree - j}*y^{j}" for j, c in enumerate(p.coeffs) if c]
+        return " + ".join(terms) or "0"
+
+    return f"n={system.n}  P={poly(system.P)}  Q={poly(system.Q)}"
 
 
 def main() -> None:
@@ -65,16 +85,16 @@ def main() -> None:
     config = SolverConfig(rel_tol=args.rel_tol)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    print(f"{'system':<52} {'verdict':<18} {'scan':<17} max|d|")
-    for _ in range(args.count):
-        system = make_system(rng)
+    print(f"{'system':<60} {'basis':<16} {'verdict':<18} {'scan':<17} max|d|")
+    for i in range(args.count):
+        system = (make_system, make_quadratic)[i % 2](rng)
         cert = classify_planar(system)
         problem = abel_from_planar(system)
         report = displacement_scan(problem, default_rho_grid(problem, config), config)
         max_d = float(np.max(np.abs(report.displacements)))
         worst = max(worst, max_d)
         print(
-            f"{describe(system):<52} {cert.verdict.value:<18} "
+            f"{describe(system):<60} {cert.basis.value:<16} {cert.verdict.value:<18} "
             f"{report.classification.value:<17} {max_d:.3e}"
         )
     print(f"\nworst displacement over the corpus: {worst:.3e}")

@@ -43,8 +43,11 @@ from .errors import (
     NoConvergence,
     NotContractive,
     ValidationError,
+    _as_count,
+    _as_float,
+    _rho_grid,
 )
-from .reduction import AbelProblem, _as_count, _as_float, _pair_evaluator, _rho_grid
+from .reduction import AbelProblem, _pair_evaluator
 from .trigpoly import TrigPoly
 
 __all__ = [

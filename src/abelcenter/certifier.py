@@ -1,16 +1,17 @@
 """Symbolic certification layer for centers and foci.
 
-Three exact tests are implemented, each emitting a machine-checkable
-:class:`Certificate`:
+Three exact tests form one decision chain, run in this order; the first
+that holds decides, and its basis backs one verdict of a :class:`Certificate`:
 
 * **planar parity** — if P(cos t, sin t) is odd and Q(cos t, sin t) is
-  even (as periodic functions of t), every orbit near the origin closes
-  up and the origin is a center;
+  even (as periodic functions of t), the origin is a center;
+* **nonzero mean** — if the radial circle function A has nonzero mean,
+  the origin is a focus;
 * **odd coefficients** — if both coefficients of the scalar equation
   x' = f x^3 + g x^2 on [-a, a] are odd, the closed solutions are even
-  and the origin is a center;
-* **nonzero mean** — if the radial circle function A has nonzero mean,
-  the origin is a focus.
+  and the origin is a center.  :func:`classify_abel` runs this test
+  alone; :func:`classify_planar` runs it last, on the reduced pair f, g,
+  which certifies the paper's subclass of planar centers.
 
 The converses are false, so a failed test never certifies anything:
 ``inconclusive`` is the honest default.  Numeric *necessary* conditions
@@ -32,9 +33,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .abel_solver import DEFAULT_CONFIG, SolverConfig, _cumulative_simpson, integrate_abel
-from .errors import ValidationError
-from .reduction import AbelProblem, PlanarSystem, abel_from_planar
-from .reduction import _coefficient_values, _rho_grid
+from .errors import ValidationError, _rho_grid
+from .reduction import AbelProblem, PlanarSystem, _coefficient_values, abel_from_planar
 from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
 __all__ = [
@@ -62,7 +62,10 @@ class Basis(enum.Enum):
     NONE = "none"
 
 
-_CENTER_BASES = frozenset({Basis.PLANAR_PARITY, Basis.ODD_COEFFICIENTS})
+_VERDICT_OF = {  # the one verdict each basis backs
+    Basis.PLANAR_PARITY: Verdict.CERTIFIED_CENTER, Basis.NONZERO_MEAN: Verdict.CERTIFIED_FOCUS,
+    Basis.ODD_COEFFICIENTS: Verdict.CERTIFIED_CENTER, Basis.NONE: Verdict.INCONCLUSIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,8 @@ class Certificate:
     evidence: dict
 
     def __post_init__(self) -> None:
-        if self.verdict is Verdict.CERTIFIED_CENTER and self.basis not in _CENTER_BASES:
-            raise ValidationError("a center certificate needs a parity basis")
-        if self.verdict is Verdict.CERTIFIED_FOCUS and self.basis is not Basis.NONZERO_MEAN:
-            raise ValidationError("a focus certificate needs the nonzero-mean basis")
-        if self.verdict is Verdict.INCONCLUSIVE and self.basis is not Basis.NONE:
-            raise ValidationError("an inconclusive outcome carries no basis")
+        if _VERDICT_OF.get(self.basis) is not self.verdict:
+            raise ValidationError(f"{self.basis} does not back {self.verdict}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,37 +102,50 @@ _ZERO_NOTE = (
 )
 
 
+def _scalar_evidence(problem: AbelProblem, f_par, g_par) -> dict:
+    """Both parities, the cube ratio of trig-polynomial f and g, the mean of A if reduced."""
+    evidence = {"parity_f": "undeclared" if f_par is None else f_par.value,
+                "parity_g": "undeclared" if g_par is None else g_par.value}
+    if isinstance(problem.f, TrigPoly) and isinstance(problem.g, TrigPoly):
+        ratio = wronskian_cube_ratio(problem.f, problem.g)
+        evidence["cube_ratio"] = None if ratio is None else str(ratio)
+    if problem.origin is not None:
+        evidence["mean_A"] = str(problem.origin.A.mean_value())
+    return evidence
+
+
+def _scalar_tests(f_par, g_par) -> tuple:
+    """(basis, holds) for each test on a scalar problem, in the order they run."""
+    return ((Basis.ODD_COEFFICIENTS, f_par in _ODD_OK and g_par in _ODD_OK),)
+
+
+def _decide(evidence: dict, *tests) -> Certificate:
+    """The certificate of the first (basis, holds) test that holds, else inconclusive."""
+    basis = next((basis for basis, holds in tests if holds), Basis.NONE)
+    return Certificate(_VERDICT_OF[basis], basis, evidence)
+
+
 def classify_planar(system: PlanarSystem) -> Certificate:
     """Certify the origin of a planar system as center, focus, or neither.
 
-    The decision sequence: the parity certificate (P odd and Q even on
-    the unit circle) wins first; otherwise a nonzero mean of A certifies
-    a focus; otherwise the symbolic layer abstains.  The evidence always
-    records both circle parities, the reduced-coefficient parities, the
-    exact mean of A, and the cube-proportionality ratio of the reduced
-    pair when it exists.
+    The chain: planar parity (P odd, Q even on the unit circle), then a
+    nonzero mean of A, then the scalar tests of :func:`classify_abel` on
+    ``abel_from_planar(system)``; the first that holds decides, else the
+    symbolic layer abstains.  The evidence records both circle parities
+    and the reduced pair's scalar evidence: parities, cube ratio, mean of A.
     """
     p_par, q_par = system.P.parity(), system.Q.parity()
     problem = abel_from_planar(system)
-    mean_A = problem.origin.A.mean_value()
-    ratio = wronskian_cube_ratio(problem.f, problem.g)
-
-    evidence = {
-        "parity_P": p_par.value,
-        "parity_Q": q_par.value,
-        "parity_f": problem.f_parity.value,
-        "parity_g": problem.g_parity.value,
-        "mean_A": str(mean_A),
-        "cube_ratio": None if ratio is None else str(ratio),
-    }
+    evidence = {"parity_P": p_par.value, "parity_Q": q_par.value,
+                **_scalar_evidence(problem, problem.f_parity, problem.g_parity)}
     if Parity.ZERO in (p_par, q_par):
         evidence["note"] = _ZERO_NOTE
-
-    if p_par in _ODD_OK and q_par in _EVEN_OK:
-        return Certificate(Verdict.CERTIFIED_CENTER, Basis.PLANAR_PARITY, evidence)
-    if mean_A != 0:
-        return Certificate(Verdict.CERTIFIED_FOCUS, Basis.NONZERO_MEAN, evidence)
-    return Certificate(Verdict.INCONCLUSIVE, Basis.NONE, evidence)
+    return _decide(
+        evidence,
+        (Basis.PLANAR_PARITY, p_par in _ODD_OK and q_par in _EVEN_OK),
+        (Basis.NONZERO_MEAN, evidence["mean_A"] != "0"),
+        *_scalar_tests(problem.f_parity, problem.g_parity),
+    )
 
 
 def _spot_check_parity(coef, parity: Parity, half_width: float, label: str) -> None:
@@ -184,24 +196,11 @@ def classify_abel(problem: AbelProblem) -> Certificate:
     """
     f_par, f_src = _resolve_parity(problem.f, problem.f_parity, problem.half_width, "f")
     g_par, g_src = _resolve_parity(problem.g, problem.g_parity, problem.half_width, "g")
-
-    evidence = {
-        "parity_f": "undeclared" if f_par is None else f_par.value,
-        "parity_g": "undeclared" if g_par is None else g_par.value,
-        "parity_source_f": f_src,
-        "parity_source_g": g_src,
-    }
-    if isinstance(problem.f, TrigPoly) and isinstance(problem.g, TrigPoly):
-        ratio = wronskian_cube_ratio(problem.f, problem.g)
-        evidence["cube_ratio"] = None if ratio is None else str(ratio)
-    if problem.origin is not None:
-        evidence["mean_A"] = str(problem.origin.A.mean_value())
+    evidence = {**_scalar_evidence(problem, f_par, g_par),
+                "parity_source_f": f_src, "parity_source_g": g_src}
     if Parity.ZERO in (f_par, g_par):
         evidence["note"] = _ZERO_NOTE
-
-    if f_par in _ODD_OK and g_par in _ODD_OK:
-        return Certificate(Verdict.CERTIFIED_CENTER, Basis.ODD_COEFFICIENTS, evidence)
-    return Certificate(Verdict.INCONCLUSIVE, Basis.NONE, evidence)
+    return _decide(evidence, *_scalar_tests(f_par, g_par))
 
 
 def wronskian_cube_ratio(f: TrigPoly, g: TrigPoly) -> Optional[Fraction]:

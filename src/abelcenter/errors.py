@@ -4,7 +4,14 @@ Validation errors signal malformed inputs (bad job specs, inconsistent
 coefficient lists, preconditions a caller can check up front).  Solver
 errors signal numeric failures discovered mid-computation; they carry
 enough context in the message to diagnose the run that produced them.
+
+The argument gates at the end sit here, below every module that uses them.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 __all__ = [
     "AbelCenterError", "ValidationError", "SolverError", "BlowUp", "StepUnderflow",
@@ -61,3 +68,37 @@ class OutsideTransformImage(SolverError):
 
 class LeftMonotoneRegion(SolverError):
     """An orbit left the positive-angular-speed region mid-integration."""
+
+
+def _as_float(value, name: str) -> float:
+    """``float(value)``, numeric strings included, for a real-number argument: a half-width,
+    an initial value, a radius, a sup bound.  A bool (numpy's too), a value ``float()`` rejects
+    and one beyond the float range raise :class:`ValidationError` naming ``name``.  Rules of
+    their own: ``SolverConfig`` takes no string tolerance; coefficient lists read "1/2"."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a bool is not a number")
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} lies beyond the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {name} {value!r}: {exc}") from exc
+
+
+def _as_count(value, name: str, low: int, high: float = math.inf) -> None:
+    """Check a count (a step cap, a sample count, a seed, a degree): a non-bool integer, numpy's
+    included, in [low, high]; anything else raises :class:`ValidationError` naming ``name``."""
+    if type(value) is bool or not (isinstance(value, numbers.Integral) and low <= value <= high):
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def _rho_grid(values) -> list[float]:
+    """The entries of a nonempty grid of initial values, each through :func:`_as_float` as rho.
+    A string (it would read as its digits), a number, ``None`` or a 0-d array is no grid."""
+    if (values is None or isinstance(values, (str, numbers.Number))
+            or getattr(values, "ndim", 1) == 0):
+        raise ValidationError(f"rho_grid must be an iterable of numbers, got {values!r}")
+    rhos = [_as_float(r, "rho") for r in values]
+    if not rhos:
+        raise ValidationError("rho grid must be nonempty")
+    return rhos

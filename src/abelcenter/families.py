@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .reduction import AbelProblem, _as_float
+from .errors import ValidationError, _as_float
+from .reduction import AbelProblem
 from .trigpoly import TrigPoly, _parity
 
 __all__ = ["cos2pit_problem", "poly_problem"]

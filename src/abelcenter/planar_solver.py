@@ -28,10 +28,9 @@ import numpy as np
 from ._ivp import solve_dense
 from .abel_solver import DEFAULT_CONFIG, MAX_GRID_POINTS, SolverConfig, _abel_rhs, _csv
 from .errors import BlowUp, LeftMonotoneRegion, SolverError, ValidationError
+from .errors import _as_count, _as_float
 from .reduction import (
     PlanarSystem,
-    _as_count,
-    _as_float,
     abel_from_planar,
     cherkas_forward,
     cherkas_inverse,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import OutsideMonotoneRegion, OutsideTransformImage, ValidationError
+from .errors import _as_count, _as_float
 from .trigpoly import Parity, TrigPoly, _angle_addition, _frac, _mul_ints, _parity, _scaled
 
 __all__ = [
@@ -52,40 +52,6 @@ __all__ = [
 ]
 
 Coefficient = Union[TrigPoly, Callable[[float], float]]
-
-
-def _as_float(value, name: str) -> float:
-    """``float(value)``, numeric strings included, for a real-number argument: a half-width,
-    an initial value, a radius, a sup bound.  A bool (numpy's too), a value ``float()`` rejects
-    and one beyond the float range raise :class:`ValidationError` naming ``name``.  Rules of
-    their own: ``SolverConfig`` takes no string tolerance; coefficient lists read "1/2"."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError("a bool is not a number")
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} lies beyond the float range") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {name} {value!r}: {exc}") from exc
-
-
-def _as_count(value, name: str, low: int, high: float = math.inf) -> None:
-    """Check a count (a step cap, a sample count, a seed, a degree): a non-bool integer, numpy's
-    included, in [low, high]; anything else raises :class:`ValidationError` naming ``name``."""
-    if type(value) is bool or not (isinstance(value, numbers.Integral) and low <= value <= high):
-        raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-
-
-def _rho_grid(values) -> list[float]:
-    """The entries of a nonempty grid of initial values, each through :func:`_as_float` as rho.
-    A string (it would read as its digits), a number, ``None`` or a 0-d array is no grid."""
-    if (values is None or isinstance(values, (str, numbers.Number))
-            or getattr(values, "ndim", 1) == 0):
-        raise ValidationError(f"rho_grid must be an iterable of numbers, got {values!r}")
-    rhos = [_as_float(r, "rho") for r in values]
-    if not rhos:
-        raise ValidationError("rho grid must be nonempty")
-    return rhos
 
 
 @dataclass(frozen=True)
@@ -116,11 +82,13 @@ class HomogPoly:
 
     @classmethod
     def zero(cls, degree: int) -> "HomogPoly":
+        _as_count(degree, "degree", 0)
         return cls((Fraction(0),) * (degree + 1))
 
     @classmethod
     def monomial(cls, degree: int, y_power: int, c=1) -> "HomogPoly":
         """c * x^(degree - y_power) * y^y_power"""
+        _as_count(degree, "degree", 0)
         _as_count(y_power, "y_power", 0, degree)
         return cls((0,) * y_power + (c,) + (0,) * (degree - y_power))
 
@@ -156,6 +124,7 @@ class PlanarSystem:
 
     def __post_init__(self) -> None:
         _as_count(self.n, "n", 2)
+        object.__setattr__(self, "n", int(self.n))  # a numpy integer would not dump as JSON
         if self.P.degree != self.n or self.Q.degree != self.n:
             raise ValidationError(
                 f"P and Q must be homogeneous of degree n={self.n}, "

@@ -33,7 +33,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_count
 
 __all__ = ["Parity", "TrigPoly", "proportional_to_cube"]
 
@@ -165,15 +165,13 @@ class TrigPoly:
     @classmethod
     def cosine(cls, k: int = 1, c: RationalLike = 1) -> "TrigPoly":
         """c * cos(k t)"""
-        if k < 0:
-            raise ValueError("harmonic index must be >= 0")
+        _as_count(k, "k", 0)
         return cls((0,) * k + (c,), (0,))
 
     @classmethod
     def sine(cls, k: int, c: RationalLike = 1) -> "TrigPoly":
         """c * sin(k t)"""
-        if k < 1:
-            raise ValueError("harmonic index must be >= 1 for sine terms")
+        _as_count(k, "k", 1)
         return cls((0,), (0,) * k + (c,))
 
     # ------------------------------------------------------------------

@@ -26,10 +26,11 @@ from abelcenter import (
     poly_problem,
 )
 
-# the corpus generator of scripts/run_center_corpus.py is the one this suite uses
+# the corpus generators of scripts/run_center_corpus.py are the ones this suite uses
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 from run_center_corpus import make_system as make_parity_system  # noqa: E402
+from run_center_corpus import quadratic_subclass  # noqa: E402, F401
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None

@@ -33,7 +33,7 @@ from abelcenter import (
     wronskian_cube_ratio,
 )
 from abelcenter import certifier, reduction
-from conftest import make_zero_radial, parity_corpus
+from conftest import make_zero_radial, parity_corpus, quadratic_subclass
 
 
 # ----------------------------------------------------------------------
@@ -95,11 +95,38 @@ def test_parity_corpus_certifies():
         assert cert.basis is Basis.PLANAR_PARITY
 
 
+# the cubic P = -x^3 - 2x^2 y + 3xy^2, Q = -3x^2 y + 2xy^2 + y^3: no circle parity, f and g odd
+ODD_CUBIC = PlanarSystem(3, HomogPoly((-1, -2, 3, 0)), HomogPoly((0, -3, 2, 1)))
+QUADRATIC_SUBCLASS = [quadratic_subclass(p, q) for p in range(-2, 3)
+                      for q in (-3, -2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2, 3)]
+
+
 def test_planar_and_scalar_certificates_agree_on_corpus():
-    for system in parity_corpus(12):
+    """The planar chain runs the scalar tests on its own reduction, so the two
+    certificates agree, on the paper's subclass of planar centers too."""
+    for system in [*parity_corpus(12), *QUADRATIC_SUBCLASS, ODD_CUBIC]:
         planar = classify_planar(system)
         scalar = classify_abel(abel_from_planar(system))
         assert planar.verdict is scalar.verdict is Verdict.CERTIFIED_CENTER
+        for key in ("parity_f", "parity_g", "cube_ratio", "mean_A"):
+            assert planar.evidence[key] == scalar.evidence[key], key
+
+
+def test_quadratic_subclass_certificate():
+    """P = x^2/2 - 2xy - y^2/2, Q = xy: only the odd-coefficient test holds."""
+    cert = classify_planar(quadratic_subclass(-2, 1))
+    assert cert.to_json_dict() == {
+        "verdict": "certified_center",
+        "basis": "odd_coefficients",
+        "evidence": {
+            "cube_ratio": None,
+            "mean_A": "0",
+            "parity_P": "neither",
+            "parity_Q": "odd",
+            "parity_f": "odd",
+            "parity_g": "odd",
+        },
+    }
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from abelcenter import (
     SolverConfig,
     SolverError,
     Trajectory,
+    TrigPoly,
     ValidationError,
     cherkas_forward,
     cherkas_inverse,
@@ -152,6 +153,10 @@ _COUNT_ARGUMENTS = [
     ("PlanarSystem.from_json_dict", "n", 2, 3,
      lambda p, s, v: PlanarSystem.from_json_dict({**s.to_json_dict(), "n": v})),
     ("HomogPoly.monomial", "y_power", 0, 1, lambda p, s, v: HomogPoly.monomial(3, v)),
+    ("HomogPoly.monomial-degree", "degree", 0, 3, lambda p, s, v: HomogPoly.monomial(v, 0)),
+    ("HomogPoly.zero", "degree", 0, 3, lambda p, s, v: HomogPoly.zero(v)),
+    ("TrigPoly.cosine", "k", 0, 2, lambda p, s, v: TrigPoly.cosine(v)),
+    ("TrigPoly.sine", "k", 1, 2, lambda p, s, v: TrigPoly.sine(v)),
     ("cherkas_forward", "n", 2, 3, lambda p, s, v: cherkas_forward(0.05, 0.0, compute_AB(s)[1], v)),
     ("cherkas_inverse", "n", 2, 3,
      lambda p, s, v: cherkas_inverse(0.0025, 0.0, compute_AB(s)[1], v)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -515,6 +516,12 @@ def test_planar_system_json_roundtrip(cubic_system):
         "Q": ["0", "0", "1", "0"],
     }
     assert PlanarSystem.from_json_dict(data) == cubic_system
+
+
+def test_numpy_integer_degree_is_stored_as_int(cubic_system):
+    system = PlanarSystem(n=np.int64(3), P=cubic_system.P, Q=cubic_system.Q)
+    assert type(system.n) is int
+    assert json.loads(json.dumps(system.to_json_dict())) == cubic_system.to_json_dict()
 
 
 def test_planar_system_json_rejects_garbage():

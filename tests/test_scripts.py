@@ -31,10 +31,13 @@ def test_center_corpus_script_certifies_and_scans_each_system():
     lines = proc.stdout.splitlines()
     rows = [line for line in lines if line.startswith("n=")]
     assert len(rows) == 3
+    bases = set()
     for row in rows:
-        verdict, scan, max_d = row.split()[-3:]
+        basis, verdict, scan, max_d = row.split()[-4:]
+        bases.add(basis)
         assert (verdict, scan) == ("certified_center", "center_evidence")
         assert float(max_d) < 1e-10
+    assert bases == {"planar_parity", "odd_coefficients"}
     assert lines[-1].startswith("worst displacement over the corpus:")
 
 
