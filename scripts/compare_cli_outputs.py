@@ -13,17 +13,21 @@ each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
 output, the exit status and the warnings are compared.  Two library paths
 that no command runs are compared too, for each golden planar system (36
-more jobs, 99 in all): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
+more jobs): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
 and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr``
 of ``polar_return_map(system, 0.05)`` and the bytes of the two arrays of
 ``integrate_abel(abel_from_planar(system), rho)`` with rho the top of
 ``default_rho_grid``, or, where one raises, the exception's type and
-message.  A job's warnings are recorded, every one of them, as the sorted
-list of its (category name, message) pairs, so a warning that one tree
-issues and the other does not, such as numpy's ``RuntimeWarning`` on
-overflow, shows as a difference; standard error is not compared, since it
-carries file paths and line numbers.  Each difference is printed; the exit
-status is 1 if there is any, else 0.
+message.  Two more library jobs cover the lattice atlas, 101 jobs in all:
+the ``classify_planar(system).to_json_dict()`` of every nonzero planar
+system of degree 2 and of degree 3 whose coefficients lie in {-1, 0, 1} (728
+and 6,560 systems), one JSON line per system, so that a certificate changed
+anywhere in the atlas shows as a difference.  A job's warnings are recorded,
+every one of them, as the sorted list of its (category name, message)
+pairs, so a warning that one tree issues and the other does not, such as
+numpy's ``RuntimeWarning`` on overflow, shows as a difference; standard
+error is not compared, since it carries file paths and line numbers.  Each
+difference is printed; the exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -46,6 +51,8 @@ LIBRARY_CALLS = ("integrate_planar", "integrate_planar_off_axis", "polar_return_
                  "integrate_abel")
 # the starting point (x0, y0) of each integrate_planar job
 PLANAR_STARTS = {"integrate_planar": (0.05, 0.0), "integrate_planar_off_axis": (0.03, -0.04)}
+# the degrees of the lattice atlas: every system with coefficients in {-1, 0, 1}
+LATTICE_DEGREES = (2, 3)
 
 
 def jobs() -> list[tuple[str, dict]]:
@@ -63,22 +70,42 @@ def jobs() -> list[tuple[str, dict]]:
     return out
 
 
-def library_calls() -> list[tuple[str, str, dict]]:
-    """(name, function, planar payload) of every library job, in a fixed order."""
+def library_calls() -> list[tuple[str, str, dict | int]]:
+    """(name, function, planar payload or lattice degree) of every library job, in a
+    fixed order."""
     cases = sorted(p for p in (ROOT / "tests" / "golden").iterdir() if p.is_dir())
-    return [(f"golden/{case.name}/{function}", function,
-             json.loads((case / "system.json").read_text()))
-            for case in cases for function in LIBRARY_CALLS]
+    golden = [(f"golden/{case.name}/{function}", function,
+               json.loads((case / "system.json").read_text()))
+              for case in cases for function in LIBRARY_CALLS]
+    return golden + [(f"lattice/degree-{n}/classify_planar", "classify_planar", n)
+                     for n in LATTICE_DEGREES]
 
 
-def call(function: str, payload: dict, out: Path):
+def lattice_systems(n: int):
+    """Every nonzero planar system of degree n whose coefficients lie in {-1, 0, 1}."""
+    from abelcenter.reduction import HomogPoly, PlanarSystem
+
+    for coeffs in itertools.product((-1, 0, 1), repeat=2 * (n + 1)):
+        if any(coeffs):
+            yield PlanarSystem(n=n, P=HomogPoly(coeffs[:n + 1]), Q=HomogPoly(coeffs[n + 1:]))
+
+
+def call(function: str, payload: dict | int, out: Path):
     """One library job: integrate_planar (from either start) and integrate_abel write their
-    arrays to ``out``, polar_return_map returns its repr; each returns the exception it
-    raises as a string."""
+    arrays to ``out``, polar_return_map returns its repr, and classify_planar writes the
+    certificate of every lattice system of degree ``payload`` to ``out``; each returns
+    the exception it raises as a string."""
     from abelcenter import abel_solver, planar_solver
+    from abelcenter.certifier import classify_planar
     from abelcenter.reduction import PlanarSystem, abel_from_planar
 
     try:
+        if function == "classify_planar":
+            out.mkdir()
+            lines = [json.dumps(classify_planar(system).to_json_dict()) + "\n"
+                     for system in lattice_systems(payload)]
+            (out / "certificates.jsonl").write_text("".join(lines))
+            return 0
         system = PlanarSystem.from_json_dict(payload)
         if function == "polar_return_map":
             return repr(planar_solver.polar_return_map(system, 0.05))

@@ -210,8 +210,9 @@ def wronskian_cube_ratio(f: TrigPoly, g: TrigPoly) -> Optional[Fraction]:
     entry condition of a known center-classification family; callers use
     the returned constant as certificate evidence.  Follows the
     convention of :func:`~abelcenter.trigpoly.proportional_to_cube` when
-    both sides vanish.  An exact integer screen at three points rejects most
-    pairs before that test runs.
+    both sides vanish.  An exact integer screen at up to three points rejects
+    most pairs before that test runs; it stops at the first pair of points
+    whose ratios differ.
     """
     if not (isinstance(f, TrigPoly) and isinstance(g, TrigPoly)):
         raise ValidationError("the cube-ratio test needs exact trig-polynomial input")
@@ -236,16 +237,21 @@ def _screen_points(w: int) -> tuple:
 
 
 def _screen_rejects(f: TrigPoly, g: TrigPoly) -> bool:
-    """True if exact values at three points t_i prove f'g - fg' is no constant
-    multiple of g^3, which would make every h(t_i) g^3(t_j) - h(t_j) g^3(t_i)
-    with h = f'g - fg' vanish.  False decides nothing."""
+    """True if exact values at up to three points t_i prove f'g - fg' is no
+    constant multiple of g^3, which would make every h(t_i) g^3(t_j) - h(t_j) g^3(t_i)
+    with h = f'g - fg' vanish.  The pairs (1, 2), (2, 3), (3, 1) are tested as
+    soon as both points are known, and the first that differs ends the screen.
+    False decides nothing."""
     rows = ((f.num_cos, f.num_sin), (g.num_cos, g.num_sin))
     values = []  # R h(t_i) and g^3(t_i), each up to a factor common to all points
     for R, weights in _screen_points(max(len(f.num_cos), len(g.num_cos))):
         (F, dF), (G, dG) = (_value_and_slope(weights, c, s) for c, s in rows)
-        values.append((R * (dF * G - F * dG), G**3))
-    pairs = zip(values, values[1:] + values[:1])
-    return any(h_i * g3_j != h_j * g3_i for (h_i, g3_i), (h_j, g3_j) in pairs)
+        h, g3 = R * (dF * G - F * dG), G**3
+        if values and h * values[-1][1] != values[-1][0] * g3:
+            return True
+        values.append((h, g3))
+    (h_1, g3_1), (h_3, g3_3) = values[0], values[-1]
+    return h_3 * g3_1 != h_1 * g3_3
 
 
 def _value_and_slope(weights: list, c: list[int], s: list[int]) -> tuple[int, int]:

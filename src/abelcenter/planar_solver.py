@@ -123,8 +123,10 @@ def integrate_planar(
                                      f"r={math.hypot(state[0], state[1]):.6g}")
         return state[2] >= target
 
-    dense, t_end, _ = solve_dense(rhs, 0.0, [x0, y0, theta0], np.inf, config,
-                                  on_step=guard, stop=stop)
+    # a stage that DOP853 rejects may overflow; an accepted non-finite state raises BlowUp
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense, t_end, _ = solve_dense(rhs, 0.0, [x0, y0, theta0], np.inf, config,
+                                      on_step=guard, stop=stop)
 
     # stop brackets the crossing in the last step: Newton on the interpolant
     t_star = t_end

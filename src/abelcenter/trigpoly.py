@@ -41,9 +41,10 @@ RationalLike = Union[Fraction, int, str]
 
 
 def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over their lcm denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    """Integer numerators of ``coeffs`` (Fractions or ints) over their lcm denominator."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _mul_ints(xc: list[int], xs: list[int], yc: list[int], ys: list[int]):
@@ -128,9 +129,11 @@ class TrigPoly:
         while w > 1 and not cos[w - 1] and not sin[w - 1]:
             w -= 1
         d = math.gcd(den, *cos[:w], *sin[1:w])
-        object.__setattr__(self, "num_cos", tuple(c // d for c in cos[:w]))
-        object.__setattr__(self, "num_sin", (0, *(s // d for s in sin[1:w])))
-        object.__setattr__(self, "den", den // d)
+        if d == 1:
+            cos, sin = cos[:w], sin[1:w]
+        else:
+            cos, sin, den = [c // d for c in cos[:w]], [s // d for s in sin[1:w]], den // d
+        self.__dict__.update(num_cos=tuple(cos), num_sin=(0, *sin), den=den)
         return self
 
     @classmethod

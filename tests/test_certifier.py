@@ -458,6 +458,69 @@ def test_cube_ratio_screen_agrees_with_exact_test():
     assert 0 < found < len(systems)
 
 
+# the screen's points (cos t, sin t) = (p/r, q/r), and a factor vanishing at each
+_SCREEN_POINTS = ((3, 4, 5), (-5, 12, 13), (8, -15, 17))
+_VANISHING_AT = (TrigPoly((-3, 5), (0,)), TrigPoly((5, 13), (0,)), TrigPoly((-8, 17), (0,)))
+
+
+def _exact_value(p: TrigPoly, c: Fraction, s: Fraction) -> Fraction:
+    """p(t) in Fractions where cos t = c and sin t = s."""
+    total, ck, sk = Fraction(0), Fraction(1), Fraction(0)
+    for a, b in zip(p.cos, p.sin):
+        total += a * ck + b * sk
+        ck, sk = ck * c - sk * s, sk * c + ck * s
+    return total
+
+
+def _three_pair_screen(f: TrigPoly, g: TrigPoly) -> bool:
+    """Reference screen: h = f'g - fg' and g^3 at all three points, then every
+    cyclic cross-product h(t_i) g^3(t_j) - h(t_j) g^3(t_i) compared with 0."""
+    h = f.derivative() * g - f * g.derivative()
+    values = [(_exact_value(h, Fraction(p, r), Fraction(q, r)),
+               _exact_value(g, Fraction(p, r), Fraction(q, r)) ** 3)
+              for p, q, r in _SCREEN_POINTS]
+    pairs = zip(values, values[1:] + values[:1])
+    return any(h_i * g3_j != h_j * g3_i for (h_i, g3_i), (h_j, g3_j) in pairs)
+
+
+@st.composite
+def screen_pairs(draw):
+    """(f, g) with small integer rows, each times 1 or a factor that vanishes at
+    one screen point; f is sometimes a multiple of g, so h vanishes everywhere."""
+    rows = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+
+    def factored():
+        p = TrigPoly(draw(rows), [0, *draw(rows)[1:]])
+        factor = draw(st.sampled_from((TrigPoly.constant(1), *_VANISHING_AT)))
+        return p * factor
+
+    g = factored()
+    f = g * draw(fracs) if draw(st.booleans()) else factored()
+    return f, g
+
+
+@given(screen_pairs())
+@settings(max_examples=300)
+def test_cube_ratio_screen_skips_no_pair(pair):
+    """Stopping at the first differing pair rejects exactly what comparing all
+    three pairs rejects, also where g or h vanishes at a screen point."""
+    f, g = pair
+    assert certifier._screen_rejects(f, g) == _three_pair_screen(f, g)
+
+
+def test_screen_goes_on_past_a_pair_that_vanishes(monkeypatch):
+    """5 cos t - 3 vanishes at the first point, so with that factor in f and g both
+    h and g^3 are 0 there, the (1, 2) pair agrees, and the screen reads the third point."""
+    for factor, (p, q, r) in zip(_VANISHING_AT, _SCREEN_POINTS):
+        assert _exact_value(factor, Fraction(p, r), Fraction(q, r)) == 0
+    calls = []
+    value = certifier._value_and_slope
+    monkeypatch.setattr(certifier, "_value_and_slope", lambda *a: calls.append(a) or value(*a))
+    f, g = TrigPoly.cosine(2) * _VANISHING_AT[0], TrigPoly.sine(1) * _VANISHING_AT[0]
+    assert certifier._screen_rejects(f, g) and _three_pair_screen(f, g)
+    assert len(calls) == 6
+
+
 # ----------------------------------------------------------------------
 # moment conditions
 

@@ -325,16 +325,39 @@ def test_exact_layer_work_counts(monkeypatch):
     assert calls["mul"] == 0
 
 
-def test_reduction_and_screen_build_no_fraction(monkeypatch):
-    """Between exact input and exact verdict the reduction and a rejecting
-    cube-ratio screen work on integer rows only: no Fraction is built."""
+def _dense_systems() -> list[PlanarSystem]:
+    """One dense system of each degree n = 2..16 with small random rationals."""
     rng = random.Random(16)
 
     def dense(n):
         return HomogPoly(tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
                                         rng.choice((1, 2, 3, 5, 7))) for _ in range(n + 1)))
 
-    systems = [PlanarSystem(n=n, P=dense(n), Q=dense(n)) for n in range(2, 17)]
+    return [PlanarSystem(n=n, P=dense(n), Q=dense(n)) for n in range(2, 17)]
+
+
+def test_rejecting_screen_reads_two_points(monkeypatch):
+    """The cube-ratio screen stops at its first differing pair of points: on each
+    dense system it evaluates f and g at two points, not three."""
+    calls = Counter()
+    value_and_slope = certifier._value_and_slope
+
+    def counted(*args):
+        calls["value_and_slope"] += 1
+        return value_and_slope(*args)
+
+    monkeypatch.setattr(certifier, "_value_and_slope", counted)
+    for system in _dense_systems():
+        problem = abel_from_planar(system)
+        calls.clear()
+        assert certifier.wronskian_cube_ratio(problem.f, problem.g) is None
+        assert calls["value_and_slope"] == 4, system
+
+
+def test_reduction_and_screen_build_no_fraction(monkeypatch):
+    """Between exact input and exact verdict the reduction and a rejecting
+    cube-ratio screen work on integer rows only: no Fraction is built."""
+    systems = _dense_systems()
     built = []
     new = Fraction.__new__
 
