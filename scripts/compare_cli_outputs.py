@@ -11,14 +11,18 @@ from it and runs every golden job in-process through ``cli.main``: each
 planar system under ``tests/golden/`` with each of the five commands, and
 each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
-output, the exit status and the warnings are compared.  Two library paths
-that no command runs are compared too, for each golden planar system (36
+output, the exit status and the warnings are compared.  Library paths
+that no command runs are compared too, for each golden planar system (45
 more jobs): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
 and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr``
-of ``polar_return_map(system, 0.05)`` and the bytes of the two arrays of
+of ``polar_return_map(system, 0.05)``, the bytes of the two arrays of
 ``integrate_abel(abel_from_planar(system), rho)`` with rho the top of
-``default_rho_grid``, or, where one raises, the exception's type and
-message.  Two more library jobs cover the lattice atlas, 101 jobs in all:
+``default_rho_grid``, and, for that scalar problem, the ``repr`` of its
+``bounds()``, its ``rho_admissible_bound`` and the ``g_integral`` of
+``moment_conditions`` on the first two rho of ``default_rho_grid``, with
+the bytes of that report's ``f_moments``; or, where one raises, the
+exception's type and message.  Two more library jobs cover the lattice
+atlas, 110 jobs in all:
 the ``classify_planar(system).to_json_dict()`` of every nonzero planar
 system of degree 2 and of degree 3 whose coefficients lie in {-1, 0, 1} (728
 and 6,560 systems), one JSON line per system, so that a certificate changed
@@ -48,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PLANAR_COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 ABEL_COMMANDS = ("certify", "scan", "picard")
 LIBRARY_CALLS = ("integrate_planar", "integrate_planar_off_axis", "polar_return_map",
-                 "integrate_abel")
+                 "integrate_abel", "bounds")
 # the starting point (x0, y0) of each integrate_planar job
 PLANAR_STARTS = {"integrate_planar": (0.05, 0.0), "integrate_planar_off_axis": (0.03, -0.04)}
 # the degrees of the lattice atlas: every system with coefficients in {-1, 0, 1}
@@ -92,9 +96,11 @@ def lattice_systems(n: int):
 
 def call(function: str, payload: dict | int, out: Path):
     """One library job: integrate_planar (from either start) and integrate_abel write their
-    arrays to ``out``, polar_return_map returns its repr, and classify_planar writes the
-    certificate of every lattice system of degree ``payload`` to ``out``; each returns
-    the exception it raises as a string."""
+    arrays to ``out``, polar_return_map returns its repr, bounds returns the repr of the
+    scalar problem's sup bounds, admissible radius and g integral and writes its moments
+    to ``out``, and classify_planar writes the certificate of every lattice system of
+    degree ``payload`` to ``out``; each returns the exception it raises as a string."""
+    import abelcenter
     from abelcenter import abel_solver, planar_solver
     from abelcenter.certifier import classify_planar
     from abelcenter.reduction import PlanarSystem, abel_from_planar
@@ -109,18 +115,26 @@ def call(function: str, payload: dict | int, out: Path):
         system = PlanarSystem.from_json_dict(payload)
         if function == "polar_return_map":
             return repr(planar_solver.polar_return_map(system, 0.05))
+        status = 0
         if function == "integrate_abel":
             problem = abel_from_planar(system)
             rho = float(abel_solver.default_rho_grid(problem)[-1])
             traj = abel_solver.integrate_abel(problem, rho)
             arrays = {"nodes": traj.nodes, "values": traj.values}
+        elif function == "bounds":  # through the package's names, which both trees export
+            problem = abelcenter.abel_from_planar(system)
+            rhos = abelcenter.default_rho_grid(problem)[:2]
+            report = abelcenter.moment_conditions(problem, rhos)
+            status = repr((problem.bounds(), abelcenter.rho_admissible_bound(problem),
+                           report.g_integral))
+            arrays = {"f_moments": report.f_moments}
         else:
             traj = planar_solver.integrate_planar(system, *PLANAR_STARTS[function])
             arrays = {name: getattr(traj, name) for name in ("times", "xs", "ys", "thetas")}
         out.mkdir()
         for name, array in arrays.items():
             (out / f"{name}.bin").write_bytes(array.tobytes())
-        return 0
+        return status
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
 

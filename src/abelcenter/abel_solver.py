@@ -22,6 +22,10 @@ The admissible initial-value radius for the operator route is
 with F, G sup bounds of the coefficients.  The Runge-Kutta route has no
 such restriction and is merely *warned* outside it; it reports blow-up
 honestly instead of returning garbage.
+
+Necessary conditions for a center (zero integral of g, vanishing moments of f
+against closed solutions) are evidence from :func:`moment_conditions`, never a
+verdict, since a finite grid cannot quantify over all small initial values.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ __all__ = [
     "displacement_scan",
     "picard_operator",
     "picard_fixed_point",
+    "MomentReport",
+    "moment_conditions",
     "evenness_defect",
     "operator_bound_check",
     "trajectory_to_csv",
@@ -399,6 +405,70 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     parts = np.empty(h1.size + 1)
     parts[:-1:2], parts[1::2], parts[-1] = h1[::2], h2[::2], h2[-1]
     return np.concatenate(([0.0], np.cumsum(parts) + 0.0))  # + initial, as scipy: -0.0 -> 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class MomentReport:
+    """Necessary-condition evidence for a center, no verdict attached.
+
+    If every small solution of x' = f x^3 + g x^2 closes up, then the
+    integral of g over [-a, a] vanishes and so does the moment
+    int f(t) x(t, rho) dt for every closed solution x(., rho); the report
+    carries the computed values so the caller can judge the margins.
+    ``g_integral_exact`` records whether the g integral came from exact
+    coefficient arithmetic (full-period trig polynomial) or quadrature.
+    """
+
+    rhos: np.ndarray
+    f_moments: np.ndarray
+    max_f_moment: float
+    g_integral: float
+    mean_g_zero: bool
+    g_integral_exact: bool
+
+
+# below this, a quadrature-computed integral of g is treated as zero
+_G_INTEGRAL_TOL = 1e-9
+
+
+def moment_conditions(
+    problem: AbelProblem,
+    rho_grid: Iterable[float],
+    config: SolverConfig = DEFAULT_CONFIG,
+) -> MomentReport:
+    """Evaluate the closed-solution moment conditions on a grid of rho.
+
+    Each trajectory comes from the adaptive Runge-Kutta path; the moments
+    are composite-Simpson integrals on its dense grid.  Initial values
+    outside the admissible radius inherit the integrator's warning.
+    """
+    rhos = np.asarray(_rho_grid(rho_grid))
+
+    a = problem.half_width
+    if isinstance(problem.g, TrigPoly) and math.isclose(a, math.pi, rel_tol=1e-15):
+        mean_coeff = problem.g.mean_value()
+        g_integral = 2.0 * math.pi * float(mean_coeff)
+        mean_g_zero = mean_coeff == 0
+        exact = True
+    else:
+        nodes = np.linspace(-a, a, config.grid_points)
+        g_integral = float(_cumulative_simpson(problem.g_values(nodes), nodes)[-1])
+        mean_g_zero = abs(g_integral) < _G_INTEGRAL_TOL
+        exact = False
+
+    moments = np.empty_like(rhos)
+    for i, rho in enumerate(rhos):
+        traj = integrate_abel(problem, rho, config)
+        integrand = problem.f_values(traj.nodes) * traj.values
+        moments[i] = _cumulative_simpson(integrand, traj.nodes)[-1]
+    return MomentReport(
+        rhos=rhos,
+        f_moments=moments,
+        max_f_moment=float(np.max(np.abs(moments))),
+        g_integral=g_integral,
+        mean_g_zero=bool(mean_g_zero),
+        g_integral_exact=exact,
+    )
 
 
 def picard_operator(

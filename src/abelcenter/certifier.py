@@ -14,26 +14,20 @@ that holds decides, and its basis backs one verdict of a :class:`Certificate`:
   which certifies the paper's subclass of planar centers.
 
 The converses are false, so a failed test never certifies anything:
-``inconclusive`` is the honest default.  Numeric *necessary* conditions
-(zero integral of g, vanishing moments of f against closed solutions)
-are reported as evidence by :func:`moment_conditions` without forcing a
-verdict, since a finite grid cannot quantify over all small initial
-values.
+``inconclusive`` is the honest default.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .abel_solver import DEFAULT_CONFIG, SolverConfig, _cumulative_simpson, integrate_abel
-from .errors import ValidationError, _rho_grid
+from .errors import ValidationError
 from .reduction import AbelProblem, PlanarSystem, _coefficient_values, abel_from_planar
 from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
@@ -44,8 +38,6 @@ __all__ = [
     "classify_planar",
     "classify_abel",
     "wronskian_cube_ratio",
-    "MomentReport",
-    "moment_conditions",
 ]
 
 
@@ -260,67 +252,3 @@ def _value_and_slope(weights: list, c: list[int], s: list[int]) -> tuple[int, in
     for k, ((cw, sw), a, b) in enumerate(zip(weights, c, s)):
         v, dv = v + a * cw + b * sw, dv + k * (b * cw - a * sw)
     return v, dv
-
-
-@dataclass(frozen=True, eq=False)
-class MomentReport:
-    """Necessary-condition evidence for a center, no verdict attached.
-
-    If every small solution of x' = f x^3 + g x^2 closes up, then the
-    integral of g over [-a, a] vanishes and so does the moment
-    int f(t) x(t, rho) dt for every closed solution x(., rho); the report
-    carries the computed values so the caller can judge the margins.
-    ``g_integral_exact`` records whether the g integral came from exact
-    coefficient arithmetic (full-period trig polynomial) or quadrature.
-    """
-
-    rhos: np.ndarray
-    f_moments: np.ndarray
-    max_f_moment: float
-    g_integral: float
-    mean_g_zero: bool
-    g_integral_exact: bool
-
-
-# below this, a quadrature-computed integral of g is treated as zero
-_G_INTEGRAL_TOL = 1e-9
-
-
-def moment_conditions(
-    problem: AbelProblem,
-    rho_grid: Iterable[float],
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> MomentReport:
-    """Evaluate the closed-solution moment conditions on a grid of rho.
-
-    Each trajectory comes from the adaptive Runge-Kutta path; the moments
-    are composite-Simpson integrals on its dense grid.  Initial values
-    outside the admissible radius inherit the integrator's warning.
-    """
-    rhos = np.asarray(_rho_grid(rho_grid))
-
-    a = problem.half_width
-    if isinstance(problem.g, TrigPoly) and math.isclose(a, math.pi, rel_tol=1e-15):
-        mean_coeff = problem.g.mean_value()
-        g_integral = 2.0 * math.pi * float(mean_coeff)
-        mean_g_zero = mean_coeff == 0
-        exact = True
-    else:
-        nodes = np.linspace(-a, a, config.grid_points)
-        g_integral = float(_cumulative_simpson(problem.g_values(nodes), nodes)[-1])
-        mean_g_zero = abs(g_integral) < _G_INTEGRAL_TOL
-        exact = False
-
-    moments = np.empty_like(rhos)
-    for i, rho in enumerate(rhos):
-        traj = integrate_abel(problem, rho, config)
-        integrand = problem.f_values(traj.nodes) * traj.values
-        moments[i] = _cumulative_simpson(integrand, traj.nodes)[-1]
-    return MomentReport(
-        rhos=rhos,
-        f_moments=moments,
-        max_f_moment=float(np.max(np.abs(moments))),
-        g_integral=g_integral,
-        mean_g_zero=bool(mean_g_zero),
-        g_integral_exact=exact,
-    )

@@ -11,8 +11,6 @@ The argument gates at the end sit here, below every module that uses them.
 import math
 import numbers
 
-import numpy as np
-
 __all__ = [
     "AbelCenterError", "ValidationError", "SolverError", "BlowUp", "StepUnderflow",
     "MaxStepsExceeded", "DenominatorTooSmall", "NotContractive", "NoConvergence",
@@ -72,11 +70,11 @@ class LeftMonotoneRegion(SolverError):
 
 def _as_float(value, name: str) -> float:
     """``float(value)``, numeric strings included, for a real-number argument: a half-width,
-    an initial value, a radius, a sup bound.  A bool (numpy's too), a value ``float()`` rejects
-    and one beyond the float range raise :class:`ValidationError` naming ``name``.  Rules of
-    their own: ``SolverConfig`` takes no string tolerance; coefficient lists read "1/2"."""
+    an initial value, a radius, a sup bound.  A bool (numpy's too: dtype kind "b"), a value
+    ``float()`` rejects and one beyond the float range raise :class:`ValidationError` naming
+    ``name``.  Own rules: ``SolverConfig`` takes no string tolerance; coefficients read "1/2"."""
     try:
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
             raise TypeError("a bool is not a number")
         return float(value)
     except OverflowError:

@@ -20,8 +20,10 @@ turns the orbit equation into the scalar equation
     dgamma/dt = f(t) gamma^3 + g(t) gamma^2,
     f = -(n-1) A B,      g = (n-1) A - B'.
 
-Everything in this module is exact rational arithmetic except the two
-pointwise change-of-variable maps, which are plain floating point.
+The reduction and the parities are exact rational arithmetic.  The two
+pointwise change-of-variable maps, ``HomogPoly.eval`` and the coefficient
+evaluators of the numeric routes (``_scalar_evaluator``, ``_pair_evaluator``,
+``_coefficient_values``, ``AbelProblem.f_values``/``g_values``) are floats.
 """
 
 from __future__ import annotations
@@ -213,11 +215,11 @@ class PlanarReduction:
 class AbelProblem:
     """Scalar equation x' = f(t) x^3 + g(t) x^2 on the interval [-a, a].
 
-    Coefficients are either exact :class:`TrigPoly` instances (parity and
-    sup bounds are then derived automatically) or plain callables.  For
-    callables the parity must be declared by the caller if a symmetry
-    certificate is wanted, and sup-norm bounds must be supplied before any
-    admissibility radius can be computed.
+    Coefficients are either exact :class:`TrigPoly` instances (parity is
+    then derived automatically, and :meth:`bounds` reads their sup bounds)
+    or plain callables.  For callables the parity must be declared by the
+    caller if a symmetry certificate is wanted, and ``f_sup``/``g_sup`` must
+    be supplied before any admissibility radius can be computed.
     """
 
     f: Coefficient
@@ -237,20 +239,20 @@ class AbelProblem:
                                   f"{sys.float_info.min!r}, got {self.half_width!r}")
         if isinstance(self.f, TrigPoly):
             self.f_parity = self.f.parity()
-            self.f_sup = self.f.linf_bound()
         if isinstance(self.g, TrigPoly):
             self.g_parity = self.g.parity()
-            self.g_sup = self.g.linf_bound()
         sup = lambda v, name: None if v is None else _as_float(v, name)
         self.f_sup, self.g_sup = sup(self.f_sup, "f_sup"), sup(self.g_sup, "g_sup")
 
     def bounds(self) -> tuple[float, float]:
-        """Sup-norm bounds (F, G) for the two coefficients."""
-        if self.f_sup is None or self.g_sup is None:
+        """Sup-norm bounds (F, G): exact coefficients' ``linf_bound()``, else the declared ones."""
+        f_sup, g_sup = (c.linf_bound() if isinstance(c, TrigPoly) else sup
+                        for c, sup in ((self.f, self.f_sup), (self.g, self.g_sup)))
+        if f_sup is None or g_sup is None:
             raise ValidationError("sampled coefficients need explicit f_sup/g_sup bounds")
-        if not all(map(math.isfinite, (self.f_sup, self.g_sup))):
-            raise ValidationError(f"sup bounds {self.f_sup}, {self.g_sup} are not both finite")
-        return self.f_sup, self.g_sup
+        if not all(map(math.isfinite, (f_sup, g_sup))):
+            raise ValidationError(f"sup bounds {f_sup}, {g_sup} are not both finite")
+        return f_sup, g_sup
 
     def f_values(self, ts: np.ndarray) -> np.ndarray:
         return _coefficient_values(self.f, ts)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelcenter import PlanarSystem, TrigPoly, _ivp, abel_from_planar, cli
+from abelcenter import PlanarSystem, TrigPoly, ValidationError, _ivp, abel_from_planar, cli
 from abelcenter.cli import main
 
 CUBIC_PAYLOAD = {"n": 3, "P": ["0", "2", "0", "0"], "Q": ["0", "0", "1", "0"]}
@@ -370,9 +370,11 @@ def test_exact_commands_take_coefficients_beyond_floats(tmp_path, kind, command,
     assert code == 0
     data = json.loads((out / out_file).read_text())
     if command == "reduce":
-        f = TrigPoly.from_json_dict(data["f"])
-        assert f == abel_from_planar(PlanarSystem.from_json_dict(payload)).f
-        assert f.linf_bound() == math.inf
+        problem = abel_from_planar(PlanarSystem.from_json_dict(payload))
+        assert TrigPoly.from_json_dict(data["f"]) == problem.f
+        assert problem.f.linf_bound() == math.inf
+        with pytest.raises(ValidationError, match="not both finite"):
+            problem.bounds()
     else:
         assert data["verdict"] == "inconclusive"
 
@@ -714,17 +716,38 @@ def test_planar_orbits_and_moments_leave_scipy_unimported():
     assert "scipy modules: []" in proc.stdout.splitlines()
 
 
-def test_no_package_module_imports_scipy():
-    # _ivp locates scipy's tableau file with importlib.util.find_spec, not an import
+_NUMERIC_LAYER = ("abelcenter._ivp", "abelcenter.abel_solver", "abelcenter.planar_solver",
+                  "abelcenter.families", "abelcenter.cli")
+# (package modules, modules they may not import); "*" is every module of the package
+_IMPORT_RULES = [
+    ("*", ("scipy",)),
+    (("trigpoly", "reduction", "certifier"), _NUMERIC_LAYER),
+    (("errors",), ("numpy",)),
+]
+
+
+def _imported_modules(tree: ast.Module) -> list[tuple[str, int]]:
+    """(dotted name, line) of every import in a package module: ``import M`` gives M and
+    ``from M import x`` gives M.x, with a relative M resolved against ``abelcenter``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["abelcenter" if node.level else "", node.module]))
+            found += [(f"{base}.{alias.name}", node.lineno) for alias in node.names]
+    return found
+
+
+def test_package_modules_keep_the_layer_boundaries():
+    # _ivp locates scipy's tableau file with importlib.util.find_spec, not an import;
+    # the exact layer decides centers with no solver, and errors sits below numpy
     found = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
+        imported = _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        for modules, banned in _IMPORT_RULES:
+            if modules != "*" and path.stem not in modules:
                 continue
-            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
-                found.append(f"{path.name}:{node.lineno}")
+            found += [f"{path.name}:{line} imports {name}" for name, line in imported
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
     assert found == []

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from abelcenter import cli
+from abelcenter import PlanarSystem, TrigPoly, abel_from_planar, classify_planar, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(d.name for d in GOLDEN.iterdir() if d.is_dir())
@@ -45,6 +45,19 @@ def test_golden_bytes(tmp_path, capsys, name, command):
     assert cli.main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
     produced = (tmp_path / "out" / OUTPUTS[command]).read_bytes()
     assert produced == (GOLDEN / name / OUTPUTS[command]).read_bytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_exact_problems_read_their_sup_bounds_in_bounds_alone(monkeypatch, name):
+    # certifying and reducing are exact: the float sup bounds wait for a numeric route
+    system = PlanarSystem.from_json_dict(json.loads((GOLDEN / name / "system.json").read_text()))
+    calls, linf_bound = [], TrigPoly.linf_bound
+    monkeypatch.setattr(TrigPoly, "linf_bound", lambda p: calls.append(p) or linf_bound(p))
+    classify_planar(system)
+    problem = abel_from_planar(system)
+    assert calls == []
+    assert problem.bounds() == (linf_bound(problem.f), linf_bound(problem.g))
+    assert calls == [problem.f, problem.g]
 
 
 def test_golden_abel_set_is_complete():

@@ -125,8 +125,9 @@ _GATED_ARGUMENTS = [
 
 @pytest.mark.parametrize(
     "value, message",
-    [(None, None), ("abc", None), (True, None), (np.True_, None), (10**400, "float range")],
-    ids=["None", "abc", "True", "np.True_", "10**400"],
+    [(None, None), ("abc", None), (True, None), (np.True_, None), (np.array(True), None),
+     (10**400, "float range")],
+    ids=["None", "abc", "True", "np.True_", "np.array(True)", "10**400"],
 )
 @pytest.mark.parametrize("name, call", [entry[1:] for entry in _GATED_ARGUMENTS],
                          ids=[entry[0] for entry in _GATED_ARGUMENTS])
