@@ -12,7 +12,7 @@ planar system under ``tests/golden/`` with each of the five commands, and
 each scalar payload under ``tests/golden_abel/`` with ``certify``, ``scan``
 and ``picard`` (63 jobs).  For every job the output files, the standard
 output, the exit status and the warnings are compared.  Library paths
-that no command runs are compared too, for each golden planar system (45
+that no command runs are compared too, for each golden planar system (54
 more jobs): the bytes of the four arrays of ``integrate_planar(system, 0.05, 0.0)``
 and of the off-axis ``integrate_planar(system, 0.03, -0.04)``, the ``repr``
 of ``polar_return_map(system, 0.05)``, the bytes of the two arrays of
@@ -20,13 +20,16 @@ of ``polar_return_map(system, 0.05)``, the bytes of the two arrays of
 ``default_rho_grid``, and, for that scalar problem, the ``repr`` of its
 ``bounds()``, its ``rho_admissible_bound`` and the ``g_integral`` of
 ``moment_conditions`` on the first two rho of ``default_rho_grid``, with
-the bytes of that report's ``f_moments``; or, where one raises, the
-exception's type and message.  Two more library jobs cover the lattice
-atlas, 110 jobs in all:
-the ``classify_planar(system).to_json_dict()`` of every nonzero planar
-system of degree 2 and of degree 3 whose coefficients lie in {-1, 0, 1} (728
-and 6,560 systems), one JSON line per system, so that a certificate changed
-anywhere in the atlas shows as a difference.  A job's warnings are recorded,
+the bytes of that report's ``f_moments``, and the ``repr`` of
+``operator_bound_check(problem, 0.5 * rho_admissible_bound(problem))``; or,
+where one raises, the exception's type and message.  Two more library jobs
+cover the lattice atlas: the ``classify_planar(system).to_json_dict()`` of
+every nonzero planar system of degree 2 and of degree 3 whose coefficients
+lie in {-1, 0, 1} (728 and 6,560 systems), one JSON line per system, so that
+a certificate changed anywhere in the atlas shows as a difference.  One
+more records the message with which ``classify_abel`` refuses a sampled
+problem whose declared parity its spot check disproves, 120 jobs in all.
+A job's warnings are recorded,
 every one of them, as the sorted list of its (category name, message)
 pairs, so a warning that one tree issues and the other does not, such as
 numpy's ``RuntimeWarning`` on overflow, shows as a difference; standard
@@ -52,7 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PLANAR_COMMANDS = ("certify", "reduce", "scan", "crosscheck", "picard")
 ABEL_COMMANDS = ("certify", "scan", "picard")
 LIBRARY_CALLS = ("integrate_planar", "integrate_planar_off_axis", "polar_return_map",
-                 "integrate_abel", "bounds")
+                 "integrate_abel", "bounds", "operator_bound_check")
 # the starting point (x0, y0) of each integrate_planar job
 PLANAR_STARTS = {"integrate_planar": (0.05, 0.0), "integrate_planar_off_axis": (0.03, -0.04)}
 # the degrees of the lattice atlas: every system with coefficients in {-1, 0, 1}
@@ -74,15 +77,16 @@ def jobs() -> list[tuple[str, dict]]:
     return out
 
 
-def library_calls() -> list[tuple[str, str, dict | int]]:
-    """(name, function, planar payload or lattice degree) of every library job, in a
-    fixed order."""
+def library_calls() -> list[tuple[str, str, dict | int | None]]:
+    """(name, function, planar payload, lattice degree or None) of every library job, in
+    a fixed order."""
     cases = sorted(p for p in (ROOT / "tests" / "golden").iterdir() if p.is_dir())
     golden = [(f"golden/{case.name}/{function}", function,
                json.loads((case / "system.json").read_text()))
               for case in cases for function in LIBRARY_CALLS]
-    return golden + [(f"lattice/degree-{n}/classify_planar", "classify_planar", n)
-                     for n in LATTICE_DEGREES]
+    lattice = [(f"lattice/degree-{n}/classify_planar", "classify_planar", n)
+               for n in LATTICE_DEGREES]
+    return golden + lattice + [("sampled/false-parity/classify_abel", "spot_check", None)]
 
 
 def lattice_systems(n: int):
@@ -94,12 +98,14 @@ def lattice_systems(n: int):
             yield PlanarSystem(n=n, P=HomogPoly(coeffs[:n + 1]), Q=HomogPoly(coeffs[n + 1:]))
 
 
-def call(function: str, payload: dict | int, out: Path):
+def call(function: str, payload: dict | int | None, out: Path):
     """One library job: integrate_planar (from either start) and integrate_abel write their
     arrays to ``out``, polar_return_map returns its repr, bounds returns the repr of the
     scalar problem's sup bounds, admissible radius and g integral and writes its moments
-    to ``out``, and classify_planar writes the certificate of every lattice system of
-    degree ``payload`` to ``out``; each returns the exception it raises as a string."""
+    to ``out``, operator_bound_check returns the repr of the scalar problem's report at
+    half the admissible radius, classify_planar writes the certificate of every lattice
+    system of degree ``payload`` to ``out``, and spot_check classifies f = t + 1/2 declared
+    odd; each returns the exception it raises as a string."""
     import abelcenter
     from abelcenter import abel_solver, planar_solver
     from abelcenter.certifier import classify_planar
@@ -112,9 +118,17 @@ def call(function: str, payload: dict | int, out: Path):
                      for system in lattice_systems(payload)]
             (out / "certificates.jsonl").write_text("".join(lines))
             return 0
+        if function == "spot_check":  # the spot check refuses f's declaration
+            problem = abelcenter.AbelProblem(f=lambda t: t + 0.5, g=lambda t: t, half_width=1.0,
+                                             f_parity=abelcenter.Parity.ODD)
+            return repr(abelcenter.classify_abel(problem))
         system = PlanarSystem.from_json_dict(payload)
         if function == "polar_return_map":
             return repr(planar_solver.polar_return_map(system, 0.05))
+        if function == "operator_bound_check":
+            problem = abelcenter.abel_from_planar(system)
+            rho = 0.5 * abelcenter.rho_admissible_bound(problem)
+            return repr(abelcenter.operator_bound_check(problem, rho))
         status = 0
         if function == "integrate_abel":
             problem = abel_from_planar(system)

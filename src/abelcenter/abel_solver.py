@@ -48,10 +48,11 @@ from .errors import (
     NotContractive,
     ValidationError,
     _as_count,
+    _as_finite,
     _as_float,
     _rho_grid,
 )
-from .reduction import AbelProblem, _pair_evaluator
+from .reduction import AbelProblem, _coefficient_values, _pair_evaluator
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -137,7 +138,7 @@ def rho_admissible_bound(problem: AbelProblem, ball_radius: float = 1.0) -> floa
     Computed as min(M/2, 1/(4a(FM+G))) from the coefficient sup bounds.
     Requires those bounds, so sampled coefficients must declare them.
     """
-    ball_radius = _as_float(ball_radius, "ball_radius")
+    ball_radius = _as_finite(ball_radius, "ball_radius")
     if ball_radius <= 0:
         raise ValidationError("ball_radius must be positive")
     F, G = problem.bounds()
@@ -482,16 +483,16 @@ def picard_operator(
     f and g are sampled at the trajectory's own nodes, on which the inner
     integral is a cumulative composite-Simpson rule.  The denominator must stay
     above 1/4 - a deliberate numerical safety margin below the theoretical 1/2
-    threshold - and :class:`DenominatorTooSmall` is raised otherwise.
+    threshold - and :class:`DenominatorTooSmall` is raised otherwise (NaN too).
     """
-    rho = _as_float(rho, "rho")
+    rho = _as_finite(rho, "rho")
     _require_grid_match(problem, x)
     t = x.nodes
     integrand = problem.f_values(t) * x.values + problem.g_values(t)
     inner = _cumulative_simpson(integrand, t)
     denom = 1.0 - rho * inner
     dmin = float(denom.min())
-    if dmin <= 0.25:
+    if not dmin > 0.25:
         raise DenominatorTooSmall(
             f"operator denominator reached {dmin:.6g} (safety threshold 0.25)"
         )
@@ -509,11 +510,9 @@ def picard_fixed_point(
     ``config.picard_tol`` in sup norm, and raises :class:`NoConvergence`
     if the iteration budget runs out first.
     """
-    rho = _as_float(rho, "rho")
+    rho = _as_finite(rho, "rho")
     if rho < 0:
         raise ValidationError("the operator route handles nonnegative rho only")
-    if not math.isfinite(rho):
-        raise ValidationError(f"rho={rho} is not finite")
     bound = rho_admissible_bound(problem, config.ball_radius)
     if rho >= bound:
         raise NotContractive(
@@ -604,7 +603,7 @@ def operator_bound_check(
         d = rng.uniform(-1.0, 1.0, size=6)
         series = TrigPoly(tuple(map(Fraction, c)), (0, *map(Fraction, d)))
         scale = rng.uniform(0.0, M) / series.linf_bound()
-        values = scale * series.eval_array(base_freq * nodes)
+        values = scale * _coefficient_values(series, base_freq * nodes)
         return Trajectory(nodes=nodes, values=values, order=0)
 
     inputs = [random_input() for _ in range(sample_count)]

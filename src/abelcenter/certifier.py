@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import ValidationError
-from .reduction import AbelProblem, PlanarSystem, _coefficient_values, abel_from_planar
+from .reduction import AbelProblem, PlanarSystem, _spot_check_parity, abel_from_planar
 from .trigpoly import Parity, TrigPoly, proportional_to_cube
 
 __all__ = [
@@ -138,32 +136,6 @@ def classify_planar(system: PlanarSystem) -> Certificate:
         (Basis.NONZERO_MEAN, evidence["mean_A"] != "0"),
         *_scalar_tests(problem.f_parity, problem.g_parity),
     )
-
-
-def _spot_check_parity(coef, parity: Parity, half_width: float, label: str) -> None:
-    """Validate a declared parity at 100 sample points per side (absolute tol 1e-10).
-
-    A sample pair agrees when it matches exactly (equal infinities included)
-    or differs by a finite amount within the tolerance, so a NaN always fails.
-    A declaration that fails its own spot check is contradictory input,
-    not a certification failure, so this raises instead of downgrading.
-    """
-    if parity is Parity.NEITHER:  # carries no checkable claim
-        return
-    ts = np.linspace(half_width / 100.0, half_width, 100)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf samples: NaN gaps masked where equal
-        left = _coefficient_values(coef, -ts)
-        right = _coefficient_values(coef, ts)
-        if parity is Parity.ODD:
-            right = -right
-        elif parity is Parity.ZERO:
-            left, right = np.concatenate([left, right]), 0.0
-        defect = np.max(np.where(left == right, 0.0, np.abs(left - right)))
-    if not defect <= 1e-10:
-        raise ValidationError(
-            f"declared parity '{parity.value}' of {label} fails a sample check "
-            f"(defect {defect:.3e}, not within 1e-10)"
-        )
 
 
 def _resolve_parity(coef, declared: Optional[Parity], half_width: float, label: str):

@@ -83,6 +83,14 @@ def _as_float(value, name: str) -> float:
         raise ValidationError(f"bad {name} {value!r}: {exc}") from exc
 
 
+def _as_finite(value, name: str) -> float:
+    """:func:`_as_float` for an argument that must be finite too: a Cherkas map's point,
+    a Picard rho, a ball radius."""
+    if not math.isfinite(value := _as_float(value, name)):
+        raise ValidationError(f"{name}={value} is not finite")
+    return value
+
+
 def _as_count(value, name: str, low: int, high: float = math.inf) -> None:
     """Check a count (a step cap, a sample count, a seed, a degree): a non-bool integer, numpy's
     included, in [low, high]; anything else raises :class:`ValidationError` naming ``name``."""

@@ -11,8 +11,8 @@ needing an expression parser:
 
 The cos2pit series are held as exact :class:`~abelcenter.trigpoly.TrigPoly`
 instances in s = 2 pi t, so their parity and sup-norm bound come from
-``parity()`` and ``linf_bound()`` and every evaluation goes through
-``trigpoly``; the poly family reads them off the coefficient list.  Either
+``parity()`` and ``linf_bound()`` and every evaluation is ``trigpoly``'s
+angle addition; the poly family reads them off the coefficient list.  Either
 way the resulting :class:`~abelcenter.reduction.AbelProblem` arrives fully
 declared and the certification layer can spot-check the declarations
 numerically.
@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, _as_float
-from .reduction import AbelProblem
-from .trigpoly import TrigPoly, _parity
+from .reduction import AbelProblem, _coefficient_values
+from .trigpoly import TrigPoly, _angle_addition, _parity
 
 __all__ = ["cos2pit_problem", "poly_problem"]
 
@@ -69,12 +69,12 @@ def _series_in_2pi_t(values: Sequence, label: str):
     c = [Fraction(v) for v in _parse_coeffs(values, label)]
     series = TrigPoly((*c[:1], *c[1::2]), (0, *c[2::2]))
 
-    scalar = series.scalar_evaluator()
+    scalar = _angle_addition(series)
 
     def of_t(t):
         if isinstance(t, float):
             return scalar(_TWO_PI * t)
-        return series.eval_array(_TWO_PI * np.asarray(t, dtype=float))
+        return _coefficient_values(series, _TWO_PI * np.asarray(t, dtype=float))
 
     return series, of_t
 

@@ -20,9 +20,9 @@ turns the orbit equation into the scalar equation
     dgamma/dt = f(t) gamma^3 + g(t) gamma^2,
     f = -(n-1) A B,      g = (n-1) A - B'.
 
-The reduction and the parities are exact rational arithmetic.  The two
-pointwise change-of-variable maps, ``HomogPoly.eval`` and the coefficient
-evaluators of the numeric routes (``_scalar_evaluator``, ``_pair_evaluator``,
+The reduction and the parities are exact rational arithmetic.  The Cherkas
+changes of variable, ``HomogPoly.eval``, the declared-parity spot check and
+the coefficient evaluators (``_scalar_evaluator``, ``_pair_evaluator``,
 ``_coefficient_values``, ``AbelProblem.f_values``/``g_values``) are floats.
 """
 
@@ -38,7 +38,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import OutsideMonotoneRegion, OutsideTransformImage, ValidationError
-from .errors import _as_count, _as_float
+from .errors import _as_count, _as_finite, _as_float
 from .trigpoly import Parity, TrigPoly, _angle_addition, _frac, _mul_ints, _parity, _scaled
 
 __all__ = [
@@ -215,11 +215,11 @@ class PlanarReduction:
 class AbelProblem:
     """Scalar equation x' = f(t) x^3 + g(t) x^2 on the interval [-a, a].
 
-    Coefficients are either exact :class:`TrigPoly` instances (parity is
-    then derived automatically, and :meth:`bounds` reads their sup bounds)
-    or plain callables.  For callables the parity must be declared by the
-    caller if a symmetry certificate is wanted, and ``f_sup``/``g_sup`` must
-    be supplied before any admissibility radius can be computed.
+    Coefficients are either exact :class:`TrigPoly` instances, whose parity
+    (a declared one must agree) and sup bounds (read by :meth:`bounds`; none
+    may be declared) are their own, or plain callables.  For callables the
+    parity must be declared if a symmetry certificate is wanted, and
+    ``f_sup``/``g_sup`` supplied before any admissibility radius is computed.
     """
 
     f: Coefficient
@@ -237,10 +237,15 @@ class AbelProblem:
         if not sys.float_info.min <= self.half_width <= sys.float_info.max:
             raise ValidationError("half_width must be a finite float of at least "
                                   f"{sys.float_info.min!r}, got {self.half_width!r}")
-        if isinstance(self.f, TrigPoly):
-            self.f_parity = self.f.parity()
-        if isinstance(self.g, TrigPoly):
-            self.g_parity = self.g.parity()
+        for label, coef in (("f", self.f), ("g", self.g)):
+            if isinstance(coef, TrigPoly):  # refuse what would be silently ignored
+                parity = coef.parity()
+                if getattr(self, f"{label}_sup") is not None:
+                    raise ValidationError(f"{label}_sup is not taken for an exact {label}")
+                if getattr(self, f"{label}_parity") not in (None, parity):
+                    raise ValidationError(f"{label}_parity differs from the exact parity "
+                                          f"'{parity.value}' of {label}")
+                setattr(self, f"{label}_parity", parity)
         sup = lambda v, name: None if v is None else _as_float(v, name)
         self.f_sup, self.g_sup = sup(self.f_sup, "f_sup"), sup(self.g_sup, "g_sup")
 
@@ -262,9 +267,10 @@ class AbelProblem:
 
 
 def _coefficient_values(coef: Coefficient, ts: np.ndarray) -> np.ndarray:
+    """coef on ``ts``, an array of its shape: angle addition with ``np.cos``/``np.sin`` if exact."""
     ts = np.asarray(ts, dtype=float)
     if isinstance(coef, TrigPoly):
-        return coef.eval_array(ts)
+        return np.full_like(ts, _angle_addition(coef)(ts, np.cos, np.sin))
     try:
         out = np.asarray(coef(ts), dtype=float)
     except (TypeError, ValueError):
@@ -274,9 +280,35 @@ def _coefficient_values(coef: Coefficient, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spot_check_parity(coef, parity: Parity, half_width: float, label: str) -> None:
+    """Validate a declared parity at 100 sample points per side (absolute tol 1e-10).
+
+    A sample pair agrees when it matches exactly (equal infinities included)
+    or differs by a finite amount within the tolerance, so a NaN always fails.
+    A declaration that fails its own spot check is contradictory input,
+    not a certification failure, so this raises instead of downgrading.
+    """
+    if parity is Parity.NEITHER:  # carries no checkable claim
+        return
+    ts = np.linspace(half_width / 100.0, half_width, 100)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf samples: NaN gaps masked where equal
+        left = _coefficient_values(coef, -ts)
+        right = _coefficient_values(coef, ts)
+        if parity is Parity.ODD:
+            right = -right
+        elif parity is Parity.ZERO:
+            left, right = np.concatenate([left, right]), 0.0
+        defect = np.max(np.where(left == right, 0.0, np.abs(left - right)))
+    if not defect <= 1e-10:
+        raise ValidationError(
+            f"declared parity '{parity.value}' of {label} fails a sample check "
+            f"(defect {defect:.3e}, not within 1e-10)"
+        )
+
+
 def _scalar_evaluator(coef: Coefficient) -> Callable[[float], float]:
     if isinstance(coef, TrigPoly):
-        return coef.scalar_evaluator()
+        return _angle_addition(coef)
     return lambda t: float(coef(t))
 
 
@@ -333,7 +365,7 @@ def cherkas_forward(r: float, theta: float, B: Coefficient, n: int) -> float:
     Defined only where the angular speed 1 + B(theta) r^(n-1) is positive;
     outside that region :class:`OutsideMonotoneRegion` is raised.
     """
-    r, theta = _as_float(r, "r"), _as_float(theta, "theta")
+    r, theta = _as_finite(r, "r"), _as_finite(theta, "theta")
     if r < 0:
         raise ValidationError("radius must be nonnegative")
     _as_count(n, "n", 2)
@@ -352,7 +384,7 @@ def cherkas_inverse(gamma: float, theta: float, B: Coefficient, n: int) -> float
     Requires gamma >= 0 and 1 - B(theta) gamma > 0 (the image of the
     forward map); otherwise :class:`OutsideTransformImage` is raised.
     """
-    gamma, theta = _as_float(gamma, "gamma"), _as_float(theta, "theta")
+    gamma, theta = _as_finite(gamma, "gamma"), _as_finite(theta, "theta")
     _as_count(n, "n", 2)
     if gamma < 0:
         raise OutsideTransformImage(f"gamma={gamma:.6g} is negative")

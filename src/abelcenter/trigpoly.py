@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .errors import ValidationError, _as_count
 
 __all__ = ["Parity", "TrigPoly", "proportional_to_cube"]
@@ -263,16 +261,6 @@ class TrigPoly:
             if b[k]:
                 total += b[k] * math.sin(k * t)
         return total
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation: :meth:`scalar_evaluator` run on whole arrays,
-        an array of ``ts.shape`` for every degree."""
-        ts = np.asarray(ts, dtype=float)
-        return np.full_like(ts, self.scalar_evaluator()(ts, np.cos, np.sin))
-
-    def scalar_evaluator(self) -> Callable[[float], float]:
-        """The evaluator of package code, :func:`_angle_addition` of one series."""
-        return _angle_addition(self)
 
     # ------------------------------------------------------------------
     # serialization / display

@@ -714,6 +714,11 @@ def test_operator_denominator_guard(config):
     problem = poly_problem([], [5.0])
     with pytest.raises(DenominatorTooSmall):
         picard_operator(problem, 0.5, _constant_trajectory(problem, 0.5, config), config)
+    # a NaN input value makes a NaN denominator, which is no safe one either
+    x = _constant_trajectory(problem, 0.01, config)
+    nan_x = Trajectory(nodes=x.nodes, values=np.where(x.nodes > 0, math.nan, x.values), order=0)
+    with pytest.raises(DenominatorTooSmall, match="reached nan"):
+        picard_operator(problem, 0.01, nan_x, config)
 
 
 def test_operator_rejects_mismatched_grid(t_problem, config):

@@ -723,6 +723,7 @@ _IMPORT_RULES = [
     ("*", ("scipy",)),
     (("trigpoly", "reduction", "certifier"), _NUMERIC_LAYER),
     (("errors",), ("numpy",)),
+    (("trigpoly", "certifier"), ("numpy",)),
 ]
 
 

@@ -138,6 +138,25 @@ def test_real_arguments_pass_one_float_gate(cubic_system, name, call, value, mes
     assert message is None or message in str(raised.value)
 
 
+# the entries of _GATED_ARGUMENTS that refuse a non-finite value by the argument's name; the
+# others refuse one too, in messages that do not name it ("initial state ... is not finite")
+_FINITE_ARGUMENTS = [entry for entry in _GATED_ARGUMENTS if entry[0] in {
+    "AbelProblem", "rho_admissible_bound", "picard_operator", "picard_fixed_point",
+    "operator_bound_check", "cherkas_forward-r", "cherkas_forward-theta",
+    "cherkas_inverse-gamma", "cherkas_inverse-theta"}]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, call", [entry[1:] for entry in _FINITE_ARGUMENTS],
+                         ids=[entry[0] for entry in _FINITE_ARGUMENTS])
+def test_finite_arguments_refuse_non_finite_values(cubic_system, name, call, value):
+    # refused by name, before a NaN result or a bare math domain error can come out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            call(poly_problem([0, 1], [0, 1]), cubic_system, value)
+
+
 # (id, argument name, its floor, an accepted value, call with the argument set to v)
 _COUNT_ARGUMENTS = [
     ("SolverConfig-max_steps", "max_steps", 1, 10, lambda p, s, v: SolverConfig(max_steps=v)),

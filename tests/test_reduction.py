@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -70,7 +71,7 @@ def test_circle_restriction_matches_pointwise_values(p):
     q = homog_to_trig(p)
     ts = np.linspace(-math.pi, math.pi, 50)
     direct = np.array([p.eval(math.cos(t), math.sin(t)) for t in ts])
-    assert np.max(np.abs(q.eval_array(ts) - direct)) < 1e-9
+    assert np.max(np.abs(reduction._coefficient_values(q, ts) - direct)) < 1e-9
 
 
 @given(homog_polys(max_degree=3))
@@ -417,9 +418,9 @@ def test_reduction_identities_pointwise(system):
     ts = np.linspace(-math.pi, math.pi, 50)
     f_vals = problem.f_values(ts)
     g_vals = problem.g_values(ts)
-    a_vals = A.eval_array(ts)
-    b_vals = B.eval_array(ts)
-    db_vals = B.derivative().eval_array(ts)
+    a_vals = reduction._coefficient_values(A, ts)
+    b_vals = reduction._coefficient_values(B, ts)
+    db_vals = reduction._coefficient_values(B.derivative(), ts)
     assert np.max(np.abs(f_vals + m * a_vals * b_vals)) < 1e-9
     assert np.max(np.abs(g_vals - m * a_vals + db_vals)) < 1e-9
 
@@ -445,6 +446,25 @@ def test_trig_coefficients_autofill_parity_and_bounds(cubic_problem):
     F, G = cubic_problem.bounds()
     assert F == pytest.approx(float(Fraction(27, 64)))
     assert G == pytest.approx(2.25)
+    # a copy declares the exact parities, which agree, so it builds
+    assert dataclasses.replace(cubic_problem) == cubic_problem
+    agreeing = AbelProblem(f=TrigPoly.cosine(1), g=TrigPoly.sine(1),
+                           f_parity=Parity.EVEN, g_parity=Parity.ODD)
+    assert agreeing.bounds() == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "declared, name",
+    [({"f_sup": 5.0}, "f_sup"), ({"g_sup": 1.0}, "g_sup"),
+     ({"f_parity": Parity.ODD, "f_sup": 5.0}, "f_sup"),
+     ({"f_parity": Parity.ODD}, "f_parity"), ({"g_parity": Parity.EVEN}, "g_parity"),
+     ({"g_parity": Parity.ZERO}, "g_parity")],
+    ids=["f_sup", "g_sup", "f_sup-and-f_parity", "f_parity", "g_parity", "g_parity-zero"],
+)
+def test_exact_coefficients_refuse_declarations_they_would_ignore(declared, name):
+    # f = cos t is even and g = sin t odd, and bounds() reads both sup bounds from them
+    with pytest.raises(ValidationError, match=rf"^{name} "):
+        AbelProblem(f=TrigPoly.cosine(1), g=TrigPoly.sine(1), **declared)
 
 
 def test_sampled_coefficients_require_explicit_bounds():
@@ -510,10 +530,10 @@ def test_sampling_a_degree_34_coefficient_needs_no_angle_matrix():
     f = abel_from_planar(PlanarSystem(n=16, P=dense(), Q=dense())).f
     assert f.degree == 34
     ts = np.linspace(-math.pi, math.pi, 2**16)
-    f.eval_array(ts[:8])  # the float rows are converted once, outside the trace
+    reduction._coefficient_values(f, ts[:8])  # the float rows are converted once, outside the trace
     tracemalloc.start()
     try:
-        f.eval_array(ts)
+        reduction._coefficient_values(f, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -66,7 +66,7 @@ def test_compare_cli_outputs_finds_a_tree_identical_to_itself(capsys):
     script = load_compare_cli_outputs()
     src = str(ROOT / "src")
     assert script.main([src, src]) == 0
-    assert capsys.readouterr().out.splitlines() == ["110 jobs: 110 identical, 0 different"]
+    assert capsys.readouterr().out.splitlines() == ["120 jobs: 120 identical, 0 different"]
 
 
 def test_compare_cli_outputs_records_every_warning_of_a_job():
